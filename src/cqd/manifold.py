@@ -118,8 +118,8 @@ def tucker_to_tensor(p: TuckerPoint) -> np.ndarray:
     return _multi_mult(p.core, tuple(f.u for f in p.factors))
 
 
-def _truncated_point(x: np.ndarray, ranks: Ranks3) -> TuckerPoint:
-    """Truncated-HOSVD projection without revalidating the ambient tensor."""
+def _truncation(x: np.ndarray, ranks: Ranks3) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Truncated HOSVD of x: core and factor matrices, signs left as computed."""
     factors = []
     core = x
     for mode in MODES:
@@ -134,14 +134,15 @@ def _truncated_point(x: np.ndarray, ranks: Ranks3) -> TuckerPoint:
                 f"mode-{mode} singular value at position {r} is below 1e-12"
             )
         u = u[:, :r]
-        factors.append(StiefelPoint(u))
+        factors.append(u)
         core = _mode_mult(core, u.T, mode)
-    return TuckerPoint(core=core, factors=tuple(factors))
+    return core, factors
 
 
 def tucker_from_tensor(x, ranks) -> TuckerPoint:
     """Truncated-HOSVD projection of an ambient tensor onto the rank-`ranks` manifold."""
-    return _truncated_point(as_tensor3(x), tuple(int(r) for r in ranks))
+    core, factors = _truncation(as_tensor3(x), tuple(int(r) for r in ranks))
+    return TuckerPoint(core=core, factors=tuple(StiefelPoint(u) for u in factors))
 
 
 def riemannian_grad_tucker(p: TuckerPoint, euclid_grad) -> TuckerTangent:
@@ -206,12 +207,35 @@ def zero_tangent(p: TuckerPoint) -> TuckerTangent:
 
 
 def tucker_retract(p: TuckerPoint, direction: TuckerTangent, eta: float) -> TuckerPoint:
-    """Move by eta * direction in ambient space, then project back by truncated HOSVD.
+    """Move by eta * direction, then truncate back to the ranks of `p` by HOSVD.
+
+    Works in factored form (Kressner, Steinlechner & Vandereycken, BIT
+    2014): for the tangent vector (dG, dU_n) as :func:`tangent_to_ambient`
+    embeds it, the moved tensor is C x_n [U_n, dU_n], where the
+    (2r1, 2r2, 2r3) block core C holds G + eta*dG in its leading block and
+    eta*G in the three blocks that differ from it in one mode.  With
+    [U_n, dU_n] = Q_n R_n, the truncated HOSVD of the moved tensor is that
+    of C x_n R_n, lifted by the Q_n; no tensor of the ambient shape is
+    formed.
 
     Raises RankDeficiencyError when the moved tensor no longer supports the
     manifold's ranks (singular value at position r_n at or below 1e-12).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    moved = tucker_to_tensor(p) + eta * tangent_to_ambient(p, direction)
-    return _truncated_point(moved, p.ranks)
+    r1, r2, r3 = p.ranks
+    g = p.core
+    c = np.zeros((2 * r1, 2 * r2, 2 * r3))
+    c[:r1, :r2, :r3] = g + eta * direction.core_dir
+    c[r1:, :r2, :r3] = eta * g
+    c[:r1, r2:, :r3] = eta * g
+    c[:r1, :r2, r3:] = eta * g
+    qs = []
+    for mode in MODES:
+        q, r = np.linalg.qr(np.hstack([p.factors[mode].u, direction.factor_dirs[mode]]))
+        qs.append(q)
+        c = _mode_mult(c, r, mode)
+    core, ws = _truncation(c, p.ranks)
+    return TuckerPoint(
+        core=core, factors=tuple(StiefelPoint(q @ w) for q, w in zip(qs, ws))
+    )

@@ -1,7 +1,8 @@
 """Compression-delegation-update outer loop with step schedules and diagnostics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,7 +18,7 @@ from .manifold import (
 from .oracle_sim import OracleBackend, OracleConfig, OracleResponse, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
-from .tensor_core import Ranks3, as_tensor3, hosvd
+from .tensor_core import Ranks3, as_tensor3, thin_hosvd
 
 SCHEDULE_KINDS = ("robbins_monro", "constant")
 LOSS_IDS = ("quadratic",)
@@ -25,12 +26,17 @@ LOSS_IDS = ("quadratic",)
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Ground-truth target (oracle-side knowledge), loss id, and budget terms."""
+    """Ground-truth target (oracle-side knowledge), loss id, and budget terms.
+
+    tau, the cap on the query budget r1 * r2 * r3, is keyword-only and has
+    no default; it must be at least 1, the budget of the smallest mask.
+    """
 
     target: np.ndarray
     loss_id: str = "quadratic"
     lam: float = 0.0
-    tau: int = 0
+    _: KW_ONLY
+    tau: int
     task_id: int = 0
 
     def __post_init__(self):
@@ -39,8 +45,8 @@ class TaskSpec:
             raise ValueError(f"unknown loss_id {self.loss_id!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if self.tau < 1:
+            raise ValueError(f"tau must be at least 1, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -115,41 +121,54 @@ def _run(
     iterate_hook: Callable[[int, np.ndarray], None] | None,
 ) -> tuple[TuckerPoint, RunTrace]:
     trace = RunTrace()
-    x = x0
+    x = good = x0
     eps = eps0
     for k in range(iters):
-        ambient = tucker_to_tensor(x)
-        cs, eps = compress_within_budget(hosvd(ambient), eps, task.tau)
-        achieved = budget(cs.maskset.ranks)
-        query = encode(cs, task.task_id, seed, eps)
-        response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
-        eta = step_size(k, schedule)
-
-        # Diagnostics use the true objective against the hidden target.
-        residual = ambient - task.target
-        true_grad = riemannian_grad_tucker(x, residual)
-        grad_norm_sq = tangent_norm_sq(x, true_grad)
-        loss = 0.5 * float(np.sum(residual**2))
-        trace.rows.append(
-            TraceRow(
-                k=k,
-                loss=loss,
-                grad_norm_sq=grad_norm_sq,
-                ranks=cs.maskset.ranks,
-                budget=achieved,
-                eta=eta,
-                eps=eps,
-            )
-        )
-        if iterate_hook is not None:
-            iterate_hook(k, ambient)
-
-        step_dir = riemannian_grad_tucker(x, stochastic_grad(ambient, response, task))
+        stage = "densify"
         try:
+            ambient = tucker_to_tensor(x)
+            # Diagnostics use the true objective against the hidden target.
+            residual = ambient - task.target
+            loss = 0.5 * float(np.sum(residual**2))
+            if not math.isfinite(loss):
+                trace.error = f"loss at k={k}: non-finite loss {loss}"
+                return good, trace
+            good = x
+            stage = "mask"
+            cs, eps = compress_within_budget(
+                thin_hosvd(x.core, tuple(f.u for f in x.factors)), eps, task.tau
+            )
+            achieved = budget(cs.maskset.ranks)
+            stage = "oracle"
+            query = encode(cs, task.task_id, seed, eps)
+            response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
+            eta = step_size(k, schedule)
+
+            stage = "diagnostics"
+            true_grad = riemannian_grad_tucker(x, residual)
+            grad_norm_sq = tangent_norm_sq(x, true_grad)
+            trace.rows.append(
+                TraceRow(
+                    k=k,
+                    loss=loss,
+                    grad_norm_sq=grad_norm_sq,
+                    ranks=cs.maskset.ranks,
+                    budget=achieved,
+                    eta=eta,
+                    eps=eps,
+                )
+            )
+            if iterate_hook is not None:
+                iterate_hook(k, ambient)
+
+            stage = "step"
+            step_dir = riemannian_grad_tucker(x, stochastic_grad(ambient, response, task))
+            stage = "retract"
             x = tucker_retract(x, step_dir.scaled(-1.0), eta)
-        except RankDeficiencyError as exc:
-            trace.error = f"rank_deficiency at k={k}: {exc}"
-            return x, trace
+        except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+            kind = "rank_deficiency" if isinstance(exc, RankDeficiencyError) else "linalg"
+            trace.error = f"{stage} at k={k}: {kind}: {exc}"
+            return good, trace
         eps = adapt_epsilon(eps, achieved, task.tau)
     return x, trace
 

@@ -73,6 +73,9 @@ class SimulatedOracle:
     def __init__(self, cfg: OracleConfig, target):
         self.cfg = cfg
         self.target = as_tensor3(target)
+        # The last query and its decoding: the m draws of an ensemble send
+        # the same bytes, which are decoded and CRC-checked once.
+        self._last: tuple[bytes, DecodedQuery] | None = None
 
     def _mean(self, dq: DecodedQuery) -> np.ndarray:
         if self.cfg.mean_map == "identity_completion":
@@ -89,7 +92,12 @@ class SimulatedOracle:
     def infer(self, query: bytes, draw_index: int) -> OracleResponse:
         if draw_index < 0:
             raise ValueError("draw_index must be nonnegative")
-        dq = decode(query)
+        last = self._last
+        if last is not None and last[0] == query:
+            dq = last[1]
+        else:
+            dq = decode(query)
+            self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
         mean = self._mean(dq)
         payload = mean + _noise(
             self.cfg.seed, dq.checksum, draw_index, mean.shape, self.cfg.noise_sigma

@@ -10,9 +10,7 @@ Ranks3 = tuple[int, int, int]
 
 MODES = (0, 1, 2)
 
-# Fixed einsum programs per mode; the hot paths below avoid the per-call
-# validation of the public wrappers.
-_MODE_SUBSCRIPTS = ("ai,ijk->ajk", "aj,ijk->iak", "ak,ijk->ija")
+# The hot paths below avoid the per-call validation of the public wrappers.
 _MODE_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
@@ -52,11 +50,14 @@ def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _mode_mult(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
-    if 0 in x.shape or 0 in a.shape:
-        shape = list(x.shape)
-        shape[mode] = a.shape[0]
-        return np.zeros(shape)
-    return np.einsum(_MODE_SUBSCRIPTS[mode], a, x)
+    # One BLAS matrix product on a reshaped view per mode (a stack of them for
+    # the middle mode); every result is C-contiguous.
+    i, j, k = x.shape
+    if mode == 0:
+        return (a @ x.reshape(i, j * k)).reshape(a.shape[0], j, k)
+    if mode == 1:
+        return np.matmul(a, x)
+    return (x.reshape(i * j, k) @ a.T).reshape(i, j, a.shape[0])
 
 
 def _multi_mult(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
@@ -117,11 +118,13 @@ def multi_mode_product(x, mats, transpose: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HosvdFactorization:
-    """Full HOSVD of a third-order tensor.
+    """HOSVD of a third-order tensor: X = core x_1 U1 x_2 U2 x_3 U3.
 
-    core has the source shape; factor n is the square I_n x I_n matrix of
-    left singular vectors of the mode-n unfolding; svals[n] holds that
-    unfolding's singular values in non-increasing order.
+    Factor n holds orthonormal left singular vectors of the mode-n
+    unfolding, one column per entry of svals[n], which lists the matching
+    singular values in non-increasing order; core has one index per factor
+    column.  :func:`hosvd` gives square I_n x I_n factors, :func:`thin_hosvd`
+    one column per rank of a Tucker tensor.
     """
 
     core: np.ndarray
@@ -129,7 +132,9 @@ class HosvdFactorization:
     svals: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for s in self.svals:
+        for u, s in zip(self.factors, self.svals):
+            if u.shape[1] != s.size:
+                raise ValueError(f"factor with {u.shape[1]} columns has {s.size} singular values")
             if s.size and (s[-1] < 0 or np.any(np.diff(s) > 0)):
                 raise ValueError("singular values must be nonnegative and non-increasing")
 
@@ -138,13 +143,16 @@ class HosvdFactorization:
         return self.core.shape
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
+def _signs(u: np.ndarray) -> np.ndarray:
     # Reproducibility convention: largest-magnitude entry of each column >= 0.
     if u.size == 0:
-        return u
+        return np.ones(u.shape[1])
     idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    return u * signs
+    return np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+
+
+def _fix_signs(u: np.ndarray) -> np.ndarray:
+    return u * _signs(u)
 
 
 def _mode_svd(x: np.ndarray, mode: int, fix_signs: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -153,6 +161,11 @@ def _mode_svd(x: np.ndarray, mode: int, fix_signs: bool = True) -> tuple[np.ndar
     # full_matrices only matters when rows exceed columns; avoid the big V'.
     u, s, _ = np.linalg.svd(xn, full_matrices=xn.shape[0] > xn.shape[1])
     return (_fix_signs(u) if fix_signs else u), s
+
+
+def _padded(s: np.ndarray, n: int) -> np.ndarray:
+    # An unfolding with fewer columns than rows has n - s.size zero svals.
+    return s if s.size == n else np.concatenate([s, np.zeros(n - s.size)])
 
 
 def hosvd(x) -> HosvdFactorization:
@@ -167,9 +180,36 @@ def hosvd(x) -> HosvdFactorization:
     for mode in MODES:
         u, s = _mode_svd(x, mode)
         factors.append(u)
-        svals.append(s)
+        svals.append(_padded(s, u.shape[1]))
     core = _multi_mult(x, factors, transpose=True)
     return HosvdFactorization(core=core, factors=tuple(factors), svals=tuple(svals))
+
+
+def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
+    """HOSVD of the Tucker tensor core x_1 U1 x_2 U2 x_3 U3, from its core alone.
+
+    The U_n must have orthonormal columns.  The mode-n unfolding of the
+    tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with G_(n) = W_n S_n V_n^T
+    its left singular vectors are U_n W_n and its nonzero singular values
+    are S_n.  Factor n is therefore the I_n x r_n matrix U_n W_n, under the
+    sign convention of :func:`hosvd`, and the r1 x r2 x r3 core is G
+    contracted by the W_n; no tensor of the ambient shape is formed.
+    """
+    ws = []
+    out_factors = []
+    svals = []
+    for mode in MODES:
+        w, s = _mode_svd(core, mode, fix_signs=False)  # w is square
+        uw = factors[mode] @ w
+        signs = _signs(uw)
+        ws.append(w * signs)
+        out_factors.append(uw * signs)
+        svals.append(_padded(s, core.shape[mode]))
+    return HosvdFactorization(
+        core=_multi_mult(core, ws, transpose=True),
+        factors=tuple(out_factors),
+        svals=tuple(svals),
+    )
 
 
 def reconstruct(f: HosvdFactorization) -> np.ndarray:
@@ -183,7 +223,7 @@ def _check_ranks(f: HosvdFactorization, ranks) -> Ranks3:
     out = []
     for mode in MODES:
         r = int(ranks[mode])
-        dim = f.factors[mode].shape[0]
+        dim = f.factors[mode].shape[1]
         if not 0 <= r <= dim:
             raise ValueError(f"rank {r} out of range [0, {dim}] for mode {mode}")
         out.append(r)

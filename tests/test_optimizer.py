@@ -180,6 +180,52 @@ def test_rank_deficiency_aborts_with_partial_trace():
     assert len(trace) == 1
 
 
+def test_diverging_run_stops_with_error_instead_of_raising():
+    # eta=3 diverges; the loss overflows after a few hundred iterations, and
+    # an SVD of the overflowed iterate used to raise out of run_cqd.
+    instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
+    x0 = tucker_from_tensor(instance, (2, 2, 2))
+    task = TaskSpec(target=target, tau=27, task_id=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final, trace = run_cqd(
+            x0, task, OracleConfig(0.0, 0), StepSchedule("constant", 3.0), 0.1, 2000
+        )
+    assert trace.error is not None
+    assert trace.error.startswith(f"loss at k={len(trace)}: ")
+    assert 50 < len(trace) < 2000
+    # The returned point is the last one whose loss was finite: the last row's.
+    last = 0.5 * float(np.sum((tucker_to_tensor(final) - target) ** 2))
+    assert np.isfinite(last)
+    assert last == pytest.approx(trace.rows[-1].loss, rel=1e-9)
+
+
+def test_linalg_error_in_a_stage_becomes_trace_error(monkeypatch):
+    import cqd.optimizer as optimizer
+
+    x0, task = setup_problem(13)
+
+    def failing_retract(p, direction, eta):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(optimizer, "tucker_retract", failing_retract)
+    final, trace = run_cqd(x0, task, OracleConfig(0.1, 13), RM, 0.1, 10)
+    assert trace.error == "retract at k=0: linalg: SVD did not converge"
+    assert len(trace) == 1
+    assert final is x0
+
+
+def test_task_spec_tau_is_required_and_at_least_one():
+    target = np.zeros((2, 2, 2))
+    with pytest.raises(TypeError):
+        TaskSpec(target=target)  # no default: a cap of 0 fits no mask
+    with pytest.raises(TypeError):
+        TaskSpec(target, "quadratic", 0.0, 27)  # keyword-only
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="tau"):
+            TaskSpec(target=target, tau=bad)
+    assert TaskSpec(target=target, tau=1).tau == 1
+
+
 def test_iterate_hook_sees_every_iterate():
     x0, task = setup_problem(12)
     seen = []

@@ -13,6 +13,8 @@ from cqd.oracle_sim import (
 from cqd.query_codec import CodecError, IntegrityError, decode, encode
 from cqd.spectral_masking import asm_compress
 
+HEADER_BYTE = 12  # inside task_id, covered by the CRC
+
 
 def make_query(rng, shape=(4, 5, 6), eps=0.3, task_id=0, seed=0):
     instance = rng.standard_normal(shape)
@@ -182,3 +184,51 @@ def test_ensemble_rejects_bad_m():
     oracle = SimulatedOracle(OracleConfig(0.0, 1), target)
     with pytest.raises(ValueError):
         ensemble_infer(oracle, query, 0)
+
+
+def test_ensemble_decodes_each_query_once(monkeypatch):
+    import cqd.oracle_sim as oracle_sim
+
+    rng = np.random.default_rng(40)
+    target = rng.standard_normal((4, 5, 6))
+    query = make_query(rng)
+    cfg = OracleConfig(0.3, 40)
+    # Reference: a fresh oracle per draw, so every draw decodes.
+    before = aggregate([SimulatedOracle(cfg, target).infer(query, 3 + i).payload for i in range(8)])
+    calls = []
+
+    def counting_decode(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(oracle_sim, "decode", counting_decode)
+    oracle = SimulatedOracle(cfg, target)
+    resp = ensemble_infer(oracle, query, 8, "mean", draw_start=3)
+    assert len(calls) == 1
+    assert resp.payload.tobytes() == before.tobytes()
+    assert resp.draws_used == 8
+
+
+def test_cached_decode_still_checks_every_new_query(monkeypatch):
+    import cqd.oracle_sim as oracle_sim
+
+    rng = np.random.default_rng(41)
+    target = rng.standard_normal((4, 5, 6))
+    q1, q2 = make_query(rng), make_query(rng, task_id=1)
+    calls = []
+
+    def counting_decode(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(oracle_sim, "decode", counting_decode)
+    oracle = SimulatedOracle(OracleConfig(0.1, 41), target)
+    for q in (q1, q1, q2, q2, q1):
+        oracle.infer(q, 0)
+    assert calls == [q1, q2, q1]
+    # A buffer changed after the call is a new query, checked again.
+    buf = bytearray(q1)
+    oracle.infer(buf, 0)
+    buf[HEADER_BYTE] ^= 0x01
+    with pytest.raises(IntegrityError):
+        oracle.infer(buf, 1)

@@ -12,6 +12,7 @@ from cqd.tensor_core import (
     multi_mode_product,
     reconstruct,
     tail_energy,
+    thin_hosvd,
     truncated_reconstruct,
     unfold,
 )
@@ -284,3 +285,33 @@ def test_factorization_rejects_unsorted_svals():
     bad = tuple(s[::-1].copy() for s in f.svals)
     with pytest.raises(ValueError):
         HosvdFactorization(core=f.core, factors=f.factors, svals=bad)
+
+
+def test_hosvd_pads_svals_to_factor_columns():
+    rng = np.random.default_rng(17)
+    f = hosvd(rng.standard_normal((5, 1, 2)))
+    assert f.factors[0].shape == (5, 5)
+    assert f.svals[0].size == 5  # the 5 x 2 unfolding has three zero svals
+    assert np.all(f.svals[0][2:] == 0.0)
+
+
+def test_factorization_rejects_svals_not_matching_factor_columns():
+    rng = np.random.default_rng(18)
+    f = hosvd(rng.standard_normal((3, 3, 3)))
+    short = (f.svals[0][:2],) + f.svals[1:]
+    with pytest.raises(ValueError, match="columns"):
+        HosvdFactorization(core=f.core, factors=f.factors, svals=short)
+
+
+def test_thin_hosvd_exact_with_rank_bound_by_columns():
+    rng = np.random.default_rng(19)
+    core = rng.standard_normal((2, 3, 2))
+    factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
+    x = multi_mode_product(core, factors)
+    f = thin_hosvd(core, factors)
+    assert [u.shape for u in f.factors] == [(5, 2), (6, 3), (4, 2)]
+    assert np.linalg.norm(reconstruct(f) - x) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(truncated_reconstruct(f, (2, 3, 2)) - x) <= 1e-12 * np.linalg.norm(x)
+    assert tail_energy(f, (2, 3, 2)) == 0.0
+    with pytest.raises(ValueError):
+        truncated_reconstruct(f, (3, 3, 2))  # more than the factor's columns
