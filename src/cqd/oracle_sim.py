@@ -43,22 +43,6 @@ class OracleBackend(Protocol):
     def infer(self, query: bytes, draw_index: int) -> OracleResponse: ...
 
 
-def _noise(seed: int, checksum: int, draw_index: int, shape, sigma: float) -> np.ndarray:
-    """Zero-mean Gaussian with E||xi||^2 == sigma^2, from a counter-based stream.
-
-    The Philox key is (seed, query checksum) and the counter is the draw
-    index, so (seed, query bytes, draw index) fully determine the bits; no
-    two draws of one query share a counter value.
-    """
-    if sigma == 0.0:
-        return np.zeros(shape)
-    key = np.array([seed, checksum], dtype=np.uint64)
-    counter = np.array([draw_index, 0, 0, 0], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
-    scale = sigma / np.sqrt(np.prod(shape))
-    return scale * gen.standard_normal(shape)
-
-
 class SimulatedOracle:
     """Backend that answers queries from a hidden ground-truth target.
 
@@ -68,18 +52,32 @@ class SimulatedOracle:
       residual -- target minus the decoded core placed in the leading
         block of the ambient grid (a corrective direction on the
         transmitted coordinates).
+
+    Noise: zero-mean Gaussian with E||xi||^2 == sigma^2, from a counter-based
+    Philox stream. The key is (seed, query checksum) and the counter is
+    [draw_index, 0, 0, 0], so (seed, query bytes, draw index) fully
+    determine the bits. The oracle owns one Philox bit generator and one
+    Generator; every draw resets the bit generator's state to that key and
+    counter with an empty buffer, which gives bit for bit the stream of a
+    fresh ``Philox(counter=..., key=...)`` without its set-up cost. That
+    shared state means one oracle instance must not serve concurrent
+    ``infer`` calls.
     """
 
     def __init__(self, cfg: OracleConfig, target):
         self.cfg = cfg
         self.target = as_tensor3(target)
+        self._scale = cfg.noise_sigma / np.sqrt(np.prod(self.target.shape))
+        self._bitgen = np.random.Philox()
+        self._gen = np.random.Generator(self._bitgen)
         # The last query and its decoding: the m draws of an ensemble send
         # the same bytes, which are decoded and CRC-checked once.
         self._last: tuple[bytes, DecodedQuery] | None = None
 
     def _mean(self, dq: DecodedQuery) -> np.ndarray:
+        """The noise-free answer; under identity_completion the target itself, not a copy."""
         if self.cfg.mean_map == "identity_completion":
-            return self.target.copy()
+            return self.target
         r1, r2, r3 = dq.ranks
         if any(r > d for r, d in zip(dq.ranks, self.target.shape)):
             raise ValueError(
@@ -99,9 +97,19 @@ class SimulatedOracle:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
         mean = self._mean(dq)
-        payload = mean + _noise(
-            self.cfg.seed, dq.checksum, draw_index, mean.shape, self.cfg.noise_sigma
-        )
+        if self.cfg.noise_sigma == 0.0:
+            return OracleResponse(payload=mean.copy(), query_checksum_echo=dq.checksum, draws_used=1)
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [draw_index, 0, 0, 0], "key": [self.cfg.seed, dq.checksum]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the next draw starts a fresh block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        payload = self._gen.standard_normal(self.target.shape)
+        payload *= self._scale
+        payload += mean
         return OracleResponse(payload=payload, query_checksum_echo=dq.checksum, draws_used=1)
 
 
@@ -111,7 +119,10 @@ def oracle_infer(query: bytes, cfg: OracleConfig, target, draw_index: int = 0) -
 
 
 def aggregate(payloads: Sequence[np.ndarray], method: str = "mean") -> np.ndarray:
-    """Elementwise mean or median of shape-homogeneous payloads."""
+    """Elementwise mean or median of shape-homogeneous payloads, in a fresh array.
+
+    The mean is float64 and leaves the payloads unmodified.
+    """
     if method not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {method!r}, expected one of {AGGREGATORS}")
     if len(payloads) == 0:
@@ -120,10 +131,15 @@ def aggregate(payloads: Sequence[np.ndarray], method: str = "mean") -> np.ndarra
     for p in payloads[1:]:
         if np.asarray(p).shape != first.shape:
             raise ValueError("payload shapes are not homogeneous")
-    stacked = np.stack([np.asarray(p) for p in payloads], axis=0)
     if method == "mean":
-        return np.mean(stacked, axis=0)
-    return np.median(stacked, axis=0)
+        # A running sum in draw order, then one divide: what np.mean of the
+        # stacked payloads computes along axis 0, without the stack.
+        total = np.array(first, dtype=np.float64)
+        for p in payloads[1:]:
+            total += p
+        total /= len(payloads)
+        return total
+    return np.median(np.stack([np.asarray(p) for p in payloads], axis=0), axis=0)
 
 
 def ensemble_infer(

@@ -21,6 +21,23 @@ def make_query(rng, shape=(4, 5, 6), eps=0.3, task_id=0, seed=0):
     return encode(asm_compress(instance, eps), task_id, seed, eps)
 
 
+def reference_payload(oracle, query, draw_index):
+    """The noisy answer from a fresh Philox stream for this draw."""
+    dq = decode(query)
+    key = np.array([oracle.cfg.seed, dq.checksum], dtype=np.uint64)
+    counter = np.array([draw_index, 0, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    shape = oracle.target.shape
+    noise = oracle.cfg.noise_sigma / np.sqrt(np.prod(shape)) * gen.standard_normal(shape)
+    mean = oracle.target
+    if oracle.cfg.mean_map == "residual":
+        r1, r2, r3 = dq.ranks
+        lifted = np.zeros(shape)
+        lifted[:r1, :r2, :r3] = dq.core
+        mean = oracle.target - lifted
+    return mean + noise
+
+
 def test_zero_noise_returns_mean_exactly():
     rng = np.random.default_rng(0)
     target = rng.standard_normal((4, 5, 6))
@@ -92,6 +109,32 @@ def test_noise_second_moment_and_bias():
     assert bias <= 3 * sigma / np.sqrt(n)
 
 
+@pytest.mark.parametrize("mean_map", ["identity_completion", "residual"])
+def test_reused_generator_matches_a_fresh_stream_per_draw(mean_map):
+    rng = np.random.default_rng(12)
+    target = rng.standard_normal((4, 5, 6))
+    queries = [make_query(rng, eps=0.5), make_query(rng, eps=0.5, task_id=1)]
+    oracle = SimulatedOracle(OracleConfig(0.7, 2**63 + 5, mean_map=mean_map), target)
+    for query in queries:
+        for d in (5, 3, 5, 0):  # out of order and repeated
+            got = oracle.infer(query, d).payload
+            assert got.tobytes() == reference_payload(oracle, query, d).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_mutating_a_payload_changes_neither_target_nor_next_response(sigma):
+    rng = np.random.default_rng(13)
+    target = rng.standard_normal((4, 5, 6))
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(sigma, 13), target)
+    saved = oracle.target.copy()
+    first = oracle.infer(query, 2)
+    expected = first.payload.copy()
+    first.payload[...] = 1e9
+    assert oracle.target.tobytes() == saved.tobytes()
+    assert oracle.infer(query, 2).payload.tobytes() == expected.tobytes()
+
+
 def test_undecodable_query_raises_protocol_error():
     rng = np.random.default_rng(6)
     target = rng.standard_normal((3, 3, 3))
@@ -122,6 +165,20 @@ def test_aggregate_single_and_symmetry():
     assert np.array_equal(aggregate([x], "mean"), x)
     assert np.array_equal(aggregate([x], "median"), x)
     assert np.all(aggregate([x, -x], "mean") == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), (4, 5, 6)])
+@pytest.mark.parametrize("m", [2, 3, 64])
+def test_aggregate_mean_matches_numpy_bitwise(shape, m):
+    rng = np.random.default_rng(m)
+    payloads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8) for _ in range(m)]
+    copies = [p.copy() for p in payloads]
+    got = aggregate(payloads, "mean")
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.mean(np.stack(copies), axis=0).tobytes()
+    for p, c in zip(payloads, copies):
+        assert p.tobytes() == c.tobytes()
+    assert not any(np.shares_memory(got, p) for p in payloads)
 
 
 def test_aggregate_median():
