@@ -54,9 +54,11 @@ class SimulatedOracle:
         transmitted coordinates).
 
     Noise: zero-mean Gaussian with E||xi||^2 == sigma^2, from a counter-based
-    Philox stream. The key is (seed, query checksum) and the counter is
-    [draw_index, 0, 0, 0], so (seed, query bytes, draw index) fully
-    determine the bits. The oracle owns one Philox bit generator and one
+    Philox stream. The key is (seed, query checksum), so (seed, query
+    bytes, draw index) fully determine the bits. Philox counts its blocks
+    in counter word 0, so the draw index sits in word 1: draw d reads the
+    blocks [j, d, 0, 0], j = 0, 1, ..., and no two draws of one query share
+    a counter value. The oracle owns one Philox bit generator and one
     Generator; every draw resets the bit generator's state to that key and
     counter with an empty buffer, which gives bit for bit the stream of a
     fresh ``Philox(counter=..., key=...)`` without its set-up cost. That
@@ -101,7 +103,7 @@ class SimulatedOracle:
             return OracleResponse(payload=mean.copy(), query_checksum_echo=dq.checksum, draws_used=1)
         self._bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": [draw_index, 0, 0, 0], "key": [self.cfg.seed, dq.checksum]},
+            "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,  # empty: the next draw starts a fresh block
             "has_uint32": 0,

@@ -25,7 +25,7 @@ def reference_payload(oracle, query, draw_index):
     """The noisy answer from a fresh Philox stream for this draw."""
     dq = decode(query)
     key = np.array([oracle.cfg.seed, dq.checksum], dtype=np.uint64)
-    counter = np.array([draw_index, 0, 0, 0], dtype=np.uint64)
+    counter = np.array([0, draw_index, 0, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
     shape = oracle.target.shape
     noise = oracle.cfg.noise_sigma / np.sqrt(np.prod(shape)) * gen.standard_normal(shape)
@@ -107,6 +107,18 @@ def test_noise_second_moment_and_bias():
     assert second_moment <= sigma**2 * 1.05
     bias = np.linalg.norm(np.mean(noise, axis=0))
     assert bias <= 3 * sigma / np.sqrt(n)
+
+
+def test_successive_draws_of_one_query_share_no_noise_value():
+    # Philox increments counter word 0 per block; a draw index in that word
+    # made draw d+1 the stream of draw d shifted by one block.
+    rng = np.random.default_rng(14)
+    query = make_query(rng, shape=(6, 6, 6))
+    oracle = SimulatedOracle(OracleConfig(1.0, 14), np.zeros((6, 6, 6)))
+    for d in (0, 1, 7):
+        a = oracle.infer(query, d).payload
+        b = oracle.infer(query, d + 1).payload
+        assert np.intersect1d(a, b).size == 0
 
 
 @pytest.mark.parametrize("mean_map", ["identity_completion", "residual"])
