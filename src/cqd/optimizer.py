@@ -128,8 +128,10 @@ def _run(
         try:
             ambient = tucker_to_tensor(x)
             # Diagnostics use the true objective against the hidden target.
-            residual = ambient - task.target
-            loss = 0.5 * float(np.sum(residual**2))
+            # A diverging iterate overflows here; the finite check reports it.
+            with np.errstate(over="ignore"):
+                residual = ambient - task.target
+                loss = 0.5 * float(np.sum(residual**2))
             if not math.isfinite(loss):
                 trace.error = f"loss at k={k}: non-finite loss {loss}"
                 return good, trace
@@ -146,7 +148,8 @@ def _run(
 
             stage = "diagnostics"
             true_grad = riemannian_grad_tucker(x, residual)
-            grad_norm_sq = tangent_norm_sq(x, true_grad)
+            with np.errstate(over="ignore"):  # reads inf; the next loss check stops the run
+                grad_norm_sq = tangent_norm_sq(x, true_grad)
             trace.rows.append(
                 TraceRow(
                     k=k,

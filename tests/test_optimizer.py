@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,14 +184,17 @@ def test_rank_deficiency_aborts_with_partial_trace():
 
 def test_diverging_run_stops_with_error_instead_of_raising():
     # eta=3 diverges; the loss overflows after a few hundred iterations, and
-    # an SVD of the overflowed iterate used to raise out of run_cqd.
+    # an SVD of the overflowed iterate used to raise out of run_cqd. The
+    # overflow shows only as trace.error, with no numpy RuntimeWarning.
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
     x0 = tucker_from_tensor(instance, (2, 2, 2))
     task = TaskSpec(target=target, tau=27, task_id=0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         final, trace = run_cqd(
             x0, task, OracleConfig(0.0, 0), StepSchedule("constant", 3.0), 0.1, 2000
         )
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert trace.error is not None
     assert trace.error.startswith(f"loss at k={len(trace)}: ")
     assert 50 < len(trace) < 2000
