@@ -100,18 +100,19 @@ class SimulatedOracle:
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
         mean = self._mean(dq)
         if self.cfg.noise_sigma == 0.0:
-            return OracleResponse(payload=mean.copy(), query_checksum_echo=dq.checksum, draws_used=1)
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: the next draw starts a fresh block
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        payload = self._gen.standard_normal(self.target.shape)
-        payload *= self._scale
-        payload += mean
+            payload = mean.copy()
+        else:
+            self._bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,  # empty: the next draw starts a fresh block
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            payload = self._gen.standard_normal(self.target.shape)
+            payload *= self._scale
+            payload += mean
         return OracleResponse(payload=payload, query_checksum_echo=dq.checksum, draws_used=1)
 
 
