@@ -7,7 +7,6 @@ from .tensor_core import (
     fold,
     hosvd,
     mode_n_product,
-    multi_mode_product,
     reconstruct,
     tail_energy,
     truncated_reconstruct,
@@ -53,7 +52,6 @@ from .query_codec import (
     VersionError,
     decode,
     encode,
-    query_budget_bytes,
 )
 from .oracle_sim import (
     OracleBackend,
@@ -62,7 +60,6 @@ from .oracle_sim import (
     SimulatedOracle,
     aggregate,
     ensemble_infer,
-    oracle_infer,
 )
 from .optimizer import (
     DescentReport,
@@ -79,74 +76,3 @@ from .optimizer import (
 from .bench_cli import ExperimentConfig, Report, emit_report, gen_synthetic
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "HosvdFactorization",
-    "as_matrix",
-    "as_tensor3",
-    "fold",
-    "hosvd",
-    "mode_n_product",
-    "multi_mode_product",
-    "reconstruct",
-    "tail_energy",
-    "truncated_reconstruct",
-    "unfold",
-    "CompressedState",
-    "SpectralMaskSet",
-    "adapt_epsilon",
-    "asm_compress",
-    "budget",
-    "compress_within_budget",
-    "mask_factorization",
-    "masked_tensor",
-    "spectral_mask",
-    "EPS_DECREASE",
-    "EPS_INCREASE",
-    "EPS_MAX",
-    "EPS_MIN",
-    "RankDeficiencyError",
-    "StiefelPoint",
-    "TuckerPoint",
-    "TuckerTangent",
-    "qr_retraction",
-    "riemannian_grad_tucker",
-    "stiefel_step",
-    "tangent_norm_sq",
-    "tangent_project_stiefel",
-    "tangent_to_ambient",
-    "tucker_from_tensor",
-    "tucker_retract",
-    "tucker_to_tensor",
-    "zero_tangent",
-    "CapacityError",
-    "CodecError",
-    "DecodedQuery",
-    "FramingError",
-    "IntegrityError",
-    "VersionError",
-    "decode",
-    "encode",
-    "query_budget_bytes",
-    "OracleBackend",
-    "OracleConfig",
-    "OracleResponse",
-    "SimulatedOracle",
-    "aggregate",
-    "ensemble_infer",
-    "oracle_infer",
-    "DescentReport",
-    "RunTrace",
-    "StepSchedule",
-    "TaskSpec",
-    "TraceRow",
-    "descent_certificate",
-    "run_cqd",
-    "run_cqd_ensemble",
-    "step_size",
-    "stochastic_grad",
-    "ExperimentConfig",
-    "Report",
-    "emit_report",
-    "gen_synthetic",
-]

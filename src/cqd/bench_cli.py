@@ -16,7 +16,7 @@ from .optimizer import StepSchedule, TaskSpec, run_cqd
 from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import asm_compress, budget, mask_factorization, masked_tensor
-from .tensor_core import hosvd, multi_mode_product, tail_energy, truncated_reconstruct
+from .tensor_core import _multi_mult, hosvd, tail_energy, truncated_reconstruct
 
 # Pass/fail thresholds for the certification experiments.
 GRAD_SQ_THRESHOLD = 1e-3
@@ -124,7 +124,7 @@ def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
         qr_retraction(rng.standard_normal((shape[mode], true_ranks[mode]))).u
         for mode in range(3)
     )
-    target = multi_mode_product(core, mats)
+    target = _multi_mult(core, mats)
     if noise_floor > 0:
         instance = target + noise_floor * rng.standard_normal(shape)
     else:
@@ -221,7 +221,7 @@ def _convergence_run(cfg: ExperimentConfig, seed: int, variant: str) -> dict:
         sigma, iters = 0.0, NEGATIVE_CONTROL_ITERS
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    task = TaskSpec(target=target, lam=cfg.lam, tau=cfg.tau, task_id=seed)
+    task = TaskSpec(target=target, tau=cfg.tau, task_id=seed)
     _, trace = run_cqd(
         x0, task, OracleConfig(sigma, seed), schedule, cfg.eps0, iters
     )

@@ -15,36 +15,29 @@ from .manifold import (
     tucker_retract,
     tucker_to_tensor,
 )
-from .oracle_sim import OracleBackend, OracleConfig, OracleResponse, SimulatedOracle, ensemble_infer
+from .oracle_sim import AGGREGATORS, OracleConfig, OracleResponse, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
 from .tensor_core import Ranks3, as_tensor3, thin_hosvd
 
 SCHEDULE_KINDS = ("robbins_monro", "constant")
-LOSS_IDS = ("quadratic",)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Ground-truth target (oracle-side knowledge), loss id, and budget terms.
+    """Ground-truth target (oracle-side knowledge) and budget terms.
 
     tau, the cap on the query budget r1 * r2 * r3, is keyword-only and has
     no default; it must be at least 1, the budget of the smallest mask.
     """
 
     target: np.ndarray
-    loss_id: str = "quadratic"
-    lam: float = 0.0
     _: KW_ONLY
     tau: int
     task_id: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_tensor3(self.target))
-        if self.loss_id not in LOSS_IDS:
-            raise ValueError(f"unknown loss_id {self.loss_id!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
         if self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
 
@@ -97,29 +90,44 @@ class RunTrace:
         return np.array([getattr(row, name) for row in self.rows])
 
 
-def stochastic_grad(x_ambient, response: OracleResponse, task: TaskSpec) -> np.ndarray:
+def stochastic_grad(x_ambient, response: OracleResponse) -> np.ndarray:
     """Euclidean gradient surrogate of the quadratic loss 0.5 * ||X - R||_F^2."""
     x = as_tensor3(x_ambient)
     r = as_tensor3(response.payload)
     if x.shape != r.shape:
         raise ValueError(f"iterate shape {x.shape} does not match response shape {r.shape}")
-    if task.loss_id != "quadratic":
-        raise ValueError(f"no gradient rule for loss_id {task.loss_id!r}")
     return x - r
 
 
-def _run(
+def run_cqd(
     x0: TuckerPoint,
     task: TaskSpec,
-    oracle: OracleBackend,
-    seed: int,
+    oracle_cfg: OracleConfig,
     schedule: StepSchedule,
     eps0: float,
     iters: int,
-    m: int,
-    agg: str,
-    iterate_hook: Callable[[int, np.ndarray], None] | None,
+    m: int = 1,
+    agg: str = "mean",
+    iterate_hook: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[TuckerPoint, RunTrace]:
+    """Run the four-step outer loop: compress, encode, delegate, retract.
+
+    Per iteration: adaptive spectral masking of the current iterate under
+    the budget cap tau, wire encoding, m oracle draws aggregated by `agg`,
+    then a retraction step along the tangent-projected stochastic gradient.
+    Returns the final point and the full per-iteration trace; a run that
+    stops early returns its last point with a finite loss and sets
+    `trace.error`. Arguments are checked here, before any oracle call.
+    """
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if agg not in AGGREGATORS:
+        raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
+    if x0.shape != task.target.shape:
+        raise ValueError(f"x0 shape {x0.shape} does not match target shape {task.target.shape}")
+    oracle = SimulatedOracle(oracle_cfg, task.target)
     trace = RunTrace()
     x = good = x0
     eps = eps0
@@ -142,7 +150,7 @@ def _run(
             )
             achieved = budget(cs.maskset.ranks)
             stage = "oracle"
-            query = encode(cs, task.task_id, seed, eps)
+            query = encode(cs, task.task_id, oracle_cfg.seed, eps)
             response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
             eta = step_size(k, schedule)
 
@@ -165,7 +173,7 @@ def _run(
                 iterate_hook(k, ambient)
 
             stage = "step"
-            step_dir = riemannian_grad_tucker(x, stochastic_grad(ambient, response, task))
+            step_dir = riemannian_grad_tucker(x, stochastic_grad(ambient, response))
             stage = "retract"
             x = tucker_retract(x, step_dir.scaled(-1.0), eta)
         except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
@@ -176,46 +184,8 @@ def _run(
     return x, trace
 
 
-def run_cqd(
-    x0: TuckerPoint,
-    task: TaskSpec,
-    oracle_cfg: OracleConfig,
-    schedule: StepSchedule,
-    eps0: float,
-    iters: int,
-    iterate_hook: Callable[[int, np.ndarray], None] | None = None,
-) -> tuple[TuckerPoint, RunTrace]:
-    """Run the four-step outer loop: compress, encode, delegate, retract.
-
-    Per iteration: adaptive spectral masking of the current iterate under
-    the budget cap tau, wire encoding, one oracle draw, then a retraction
-    step along the tangent-projected stochastic gradient. Returns the final
-    point and the full per-iteration trace.
-    """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    oracle = SimulatedOracle(oracle_cfg, task.target)
-    return _run(x0, task, oracle, oracle_cfg.seed, schedule, eps0, iters, 1, "mean", iterate_hook)
-
-
-def run_cqd_ensemble(
-    x0: TuckerPoint,
-    task: TaskSpec,
-    oracle_cfg: OracleConfig,
-    schedule: StepSchedule,
-    eps0: float,
-    iters: int,
-    m: int,
-    agg: str = "mean",
-    iterate_hook: Callable[[int, np.ndarray], None] | None = None,
-) -> tuple[TuckerPoint, RunTrace]:
-    """Same loop as :func:`run_cqd` with m aggregated oracle draws per iteration."""
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    oracle = SimulatedOracle(oracle_cfg, task.target)
-    return _run(x0, task, oracle, oracle_cfg.seed, schedule, eps0, iters, m, agg, iterate_hook)
+# The ensemble name, kept for callers that use it: the same function.
+run_cqd_ensemble = run_cqd
 
 
 @dataclass(frozen=True)

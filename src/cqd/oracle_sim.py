@@ -1,4 +1,4 @@
-"""Simulated noisy oracle: deterministic mean maps plus counter-keyed Gaussian noise."""
+"""Simulated noisy oracle: the hidden target plus counter-keyed Gaussian noise."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,25 +9,21 @@ import numpy as np
 from .query_codec import DecodedQuery, decode
 from .tensor_core import as_tensor3
 
-MEAN_MAPS = ("identity_completion", "residual")
 AGGREGATORS = ("mean", "median")
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Noise level (total second moment bound), stream seed, and mean-map id."""
+    """Noise level (total second moment bound) and stream seed."""
 
     noise_sigma: float
     seed: int
-    mean_map: str = "identity_completion"
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in uint64")
-        if self.mean_map not in MEAN_MAPS:
-            raise ValueError(f"unknown mean_map {self.mean_map!r}, expected one of {MEAN_MAPS}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +42,10 @@ class OracleBackend(Protocol):
 class SimulatedOracle:
     """Backend that answers queries from a hidden ground-truth target.
 
-    Mean maps:
-      identity_completion -- the target itself (a perfect answer to the
-        delegated sub-problem).
-      residual -- target minus the decoded core placed in the leading
-        block of the ambient grid (a corrective direction on the
-        transmitted coordinates).
+    The noise-free answer is the target itself, a perfect answer to the
+    delegated sub-problem; the oracle keeps a read-only copy of it, so
+    later writes to the caller's array do not change its answers. Every
+    new query is still decoded, which checks its CRC and framing.
 
     Noise: zero-mean Gaussian with E||xi||^2 == sigma^2, from a counter-based
     Philox stream. The key is (seed, query checksum), so (seed, query
@@ -68,26 +62,14 @@ class SimulatedOracle:
 
     def __init__(self, cfg: OracleConfig, target):
         self.cfg = cfg
-        self.target = as_tensor3(target)
+        self.target = as_tensor3(target).copy()
+        self.target.flags.writeable = False
         self._scale = cfg.noise_sigma / np.sqrt(np.prod(self.target.shape))
         self._bitgen = np.random.Philox()
         self._gen = np.random.Generator(self._bitgen)
         # The last query and its decoding: the m draws of an ensemble send
         # the same bytes, which are decoded and CRC-checked once.
         self._last: tuple[bytes, DecodedQuery] | None = None
-
-    def _mean(self, dq: DecodedQuery) -> np.ndarray:
-        """The noise-free answer; under identity_completion the target itself, not a copy."""
-        if self.cfg.mean_map == "identity_completion":
-            return self.target
-        r1, r2, r3 = dq.ranks
-        if any(r > d for r, d in zip(dq.ranks, self.target.shape)):
-            raise ValueError(
-                f"query ranks {dq.ranks} exceed the task shape {self.target.shape}"
-            )
-        lifted = np.zeros(self.target.shape)
-        lifted[:r1, :r2, :r3] = dq.core
-        return self.target - lifted
 
     def infer(self, query: bytes, draw_index: int) -> OracleResponse:
         if draw_index < 0:
@@ -98,9 +80,8 @@ class SimulatedOracle:
         else:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
-        mean = self._mean(dq)
         if self.cfg.noise_sigma == 0.0:
-            payload = mean.copy()
+            payload = self.target.copy()
         else:
             self._bitgen.state = {
                 "bit_generator": "Philox",
@@ -112,13 +93,8 @@ class SimulatedOracle:
             }
             payload = self._gen.standard_normal(self.target.shape)
             payload *= self._scale
-            payload += mean
+            payload += self.target
         return OracleResponse(payload=payload, query_checksum_echo=dq.checksum, draws_used=1)
-
-
-def oracle_infer(query: bytes, cfg: OracleConfig, target, draw_index: int = 0) -> OracleResponse:
-    """One simulated oracle call; convenience wrapper over SimulatedOracle."""
-    return SimulatedOracle(cfg, target).infer(query, draw_index)
 
 
 def aggregate(payloads: Sequence[np.ndarray], method: str = "mean") -> np.ndarray:

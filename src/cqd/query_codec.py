@@ -119,9 +119,3 @@ def decode(data: bytes) -> DecodedQuery:
         core=core,
         checksum=stored,
     )
-
-
-def query_budget_bytes(data: bytes) -> int:
-    """Total byte length of a valid query; the payload part is 8 * r1 * r2 * r3."""
-    decode(data)
-    return len(data)

@@ -5,14 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (
-    HosvdFactorization,
-    MODES,
-    Ranks3,
-    as_tensor3,
-    hosvd,
-    multi_mode_product,
-)
+from .tensor_core import HosvdFactorization, MODES, Ranks3, _multi_mult, as_tensor3, hosvd
 
 # Online threshold controller constants: multiplicative up/down steps and the
 # clamp keeping eps inside (0, 1).
@@ -31,20 +24,15 @@ def _check_eps(eps_rel: float) -> float:
 
 @dataclass(frozen=True)
 class SpectralMaskSet:
-    """Per-mode keep/drop masks induced by a relative singular-value threshold."""
+    """Ranks kept per mode under a relative singular-value threshold.
+
+    Mode n keeps its leading ranks[n] singular directions: descending svals
+    under a threshold relative to the largest give a ones-prefix mask
+    (see :func:`spectral_mask`).
+    """
 
     eps_rel: float
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
     ranks: Ranks3
-
-    def __post_init__(self):
-        for mask, r in zip(self.masks, self.ranks):
-            kept = int(np.count_nonzero(mask))
-            if kept != r:
-                raise ValueError(f"rank {r} does not match mask popcount {kept}")
-            # Descending svals with a monotone threshold force a ones-prefix.
-            if kept and not np.all(mask[:kept]):
-                raise ValueError("mask must be a prefix of ones followed by zeros")
 
 
 @dataclass(frozen=True)
@@ -82,9 +70,8 @@ def spectral_mask(svals, eps_rel: float) -> np.ndarray:
 
 def mask_factorization(f: HosvdFactorization, eps_rel: float) -> CompressedState:
     """Apply spectral masking to an existing factorization."""
-    masks = tuple(spectral_mask(f.svals[mode], eps_rel) for mode in MODES)
-    ranks = tuple(int(np.count_nonzero(m)) for m in masks)
-    maskset = SpectralMaskSet(eps_rel=_check_eps(eps_rel), masks=masks, ranks=ranks)
+    ranks = tuple(int(np.count_nonzero(spectral_mask(f.svals[mode], eps_rel))) for mode in MODES)
+    maskset = SpectralMaskSet(eps_rel=_check_eps(eps_rel), ranks=ranks)
     core = f.core[: ranks[0], : ranks[1], : ranks[2]]
     factors = tuple(f.factors[mode][:, : ranks[mode]] for mode in MODES)
     return CompressedState(masked_core=core, masked_factors=factors, maskset=maskset)
@@ -102,7 +89,7 @@ def asm_compress(x, eps_rel: float) -> CompressedState:
 
 def masked_tensor(cs: CompressedState) -> np.ndarray:
     """Ambient-shape tensor represented by a compressed state."""
-    return multi_mode_product(cs.masked_core, cs.masked_factors)
+    return _multi_mult(cs.masked_core, cs.masked_factors)
 
 
 def budget(ranks) -> int:

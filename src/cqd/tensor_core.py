@@ -108,14 +108,6 @@ def mode_n_product(x, a, mode: int) -> np.ndarray:
     return _mode_mult(x, a, mode)
 
 
-def multi_mode_product(x, mats, transpose: bool = False) -> np.ndarray:
-    """Apply one matrix per mode in sequence (optionally transposed)."""
-    out = as_tensor3(x)
-    for mode, a in enumerate(mats):
-        out = mode_n_product(out, a.T if transpose else a, mode)
-    return out
-
-
 @dataclass(frozen=True)
 class HosvdFactorization:
     """HOSVD of a third-order tensor: X = core x_1 U1 x_2 U2 x_3 U3.

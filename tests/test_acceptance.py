@@ -12,6 +12,7 @@ import pytest
 
 from cqd.bench_cli import (
     ExperimentConfig,
+    _convergence_run,
     exp_convergence,
     exp_ensemble_variance,
     exp_projector_optimality,
@@ -24,16 +25,14 @@ from cqd.manifold import (
     qr_retraction,
     tangent_project_stiefel,
     tangent_to_ambient,
-    tucker_from_tensor,
     tucker_retract,
     tucker_to_tensor,
     zero_tangent,
 )
-from cqd.optimizer import OracleConfig, StepSchedule, TaskSpec, run_cqd
-from cqd.oracle_sim import SimulatedOracle, ensemble_infer
+from cqd.oracle_sim import OracleConfig, SimulatedOracle
 from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import asm_compress
-from cqd.tensor_core import hosvd, reconstruct, tail_energy, truncated_reconstruct
+from cqd.tensor_core import hosvd, reconstruct
 from tests.test_manifold import random_tangent, random_tucker_point
 
 
@@ -44,46 +43,29 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_projector_optimality():
     start = time.perf_counter()
-    violations = 0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((6, 8))
-        svals = np.linalg.svd(a, compute_uv=False)
-        optimal = np.sum(svals[2:] ** 2)
-        for _ in range(500):
-            v = qr_retraction(rng.standard_normal((6, 2))).u
-            resid = np.sum((a - v @ (v.T @ a)) ** 2)
-            if resid < optimal - 1e-12:
-                violations += 1
+    cfg = ExperimentConfig(
+        experiment="projopt", shape=(6, 8), ranks=(2,), seeds=tuple(range(20)), n_projectors=500
+    )
+    rep = exp_projector_optimality(cfg)
+    violations = sum(row["violations"] for row in rep.rows)
     elapsed = time.perf_counter() - start
     report(
         "criterion 1 (top-2 projector optimality)",
-        violations == 0 and elapsed < 10.0,
+        rep.passed["zero_violations"] and elapsed < 10.0,
         f"violations={violations}, elapsed={elapsed:.2f}s (< 10 s)",
     )
 
 
 def test_criterion_02_tail_bound_all_rank_triples():
     start = time.perf_counter()
-    violations = 0
-    checked = 0
-    for i in range(100):
-        rng = np.random.default_rng([19, i])
-        shape = tuple(int(d) for d in rng.integers(1, 6, size=3))
-        x = rng.standard_normal(shape)
-        f = hosvd(x)
-        for r1 in range(shape[0] + 1):
-            for r2 in range(shape[1] + 1):
-                for r3 in range(shape[2] + 1):
-                    ranks = (r1, r2, r3)
-                    resid = np.sum((x - truncated_reconstruct(f, ranks)) ** 2)
-                    if resid > tail_energy(f, ranks) + 1e-9:
-                        violations += 1
-                    checked += 1
+    cfg = ExperimentConfig(experiment="tailbound", shape=(5, 5, 5), seeds=(19,), n_instances=100)
+    rep = exp_tail_bound(cfg)
+    violations = sum(row["violations"] for row in rep.rows)
+    checked = sum(row["n_triples"] for row in rep.rows)
     elapsed = time.perf_counter() - start
     report(
         "criterion 2 (truncation tail bound)",
-        violations == 0 and elapsed < 30.0,
+        rep.passed["zero_violations"] and elapsed < 30.0,
         f"{checked} rank triples, violations={violations}, elapsed={elapsed:.2f}s (< 30 s)",
     )
 
@@ -134,57 +116,37 @@ def test_criterion_04_retraction_axioms():
 
 def test_criterion_05_convergence_desk_scale():
     start = time.perf_counter()
-    rm = StepSchedule("robbins_monro", 0.5, 100.0)
-    running_mins = []
-    for seed in range(10):
-        instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, seed)
-        x0 = tucker_from_tensor(instance, (2, 2, 2))
-        task = TaskSpec(target=target, tau=27, task_id=seed)
-        _, trace = run_cqd(x0, task, OracleConfig(0.1, seed), rm, 0.1, 5000)
-        assert trace.error is None
-        running_mins.append(float(np.min(trace.column("grad_norm_sq"))))
-    median_min = float(np.median(running_mins))
+    # Defaults: 6^3, ranks (2,2,2), sigma 0.1, Robbins-Monro eta0 0.5 and
+    # k0 100, 5000 iterations, eps0 0.1, tau 27.
+    cfg = ExperimentConfig(experiment="converge")
+    noisy = [_convergence_run(cfg, seed, "rm_noisy") for seed in range(10)]
+    assert all(row["error"] == "" for row in noisy)
+    median_min = float(np.median([row["min_running_grad_sq"] for row in noisy]))
 
-    instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 99)
-    x0 = tucker_from_tensor(instance, (2, 2, 2))
-    task = TaskSpec(target=target, tau=27, task_id=99)
-    _, det = run_cqd(x0, task, OracleConfig(0.0, 99), StepSchedule("constant", 0.1), 0.1, 400)
-    det_losses = det.column("loss")
-    det_ok = bool(np.min(det_losses) < 1e-8)
+    det = _convergence_run(cfg, 99, "deterministic")
+    det_ok = det["min_loss"] < 1e-8
 
-    _, neg = run_cqd(x0, task, OracleConfig(0.0, 99), StepSchedule("constant", 3.0), 0.1, 50)
-    neg_losses = neg.column("loss")
-    diverged = bool(neg_losses[-1] > 1e6 * neg_losses[0])
+    neg = _convergence_run(cfg, 99, "negative_control")
+    diverged = bool(neg["diverged"])
 
     elapsed = time.perf_counter() - start
     report(
         "criterion 5 (convergence desk scale)",
         median_min < 1e-3 and det_ok and diverged and elapsed < 120.0,
         f"median running-min grad^2={median_min:.2e} (< 1e-3, 10 seeds), "
-        f"deterministic min loss={np.min(det_losses):.2e} (< 1e-8 in <= 400), "
+        f"deterministic min loss={det['min_loss']:.2e} (< 1e-8 in <= 400), "
         f"eta=3 diverged={diverged}, elapsed={elapsed:.1f}s (< 2 min)",
     )
 
 
 def test_criterion_06_ensemble_variance_reduction():
-    sigma = 0.5
-    rng = np.random.default_rng(31)
-    instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 31)
-    query = encode(asm_compress(instance, 0.1), 0, 31, 0.1)
-    oracle = SimulatedOracle(OracleConfig(sigma, 31), target)
-    variances = []
-    in_band = True
-    for m in (1, 4, 16, 64):
-        sq = np.empty(2000)
-        for t in range(2000):
-            resp = ensemble_infer(oracle, query, m, "mean", draw_start=t * m)
-            sq[t] = np.sum((resp.payload - target) ** 2)
-        variance = float(np.mean(sq))
-        variances.append(variance)
-        ratio = variance / (sigma**2 / m)
-        if not 0.8 <= ratio <= 1.25:
-            in_band = False
-    decreasing = all(b < a for a, b in zip(variances, variances[1:]))
+    cfg = ExperimentConfig(
+        experiment="ensemble", sigma=0.5, seeds=(31,), trials=2000, m_values=(1, 4, 16, 64)
+    )
+    rep = exp_ensemble_variance(cfg)
+    variances = [row["variance"] for row in rep.rows]
+    in_band = rep.passed["ratio_in_band"]
+    decreasing = rep.passed["variance_strictly_decreasing"]
     report(
         "criterion 6 (ensemble variance reduction)",
         in_band and decreasing,

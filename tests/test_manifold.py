@@ -19,7 +19,6 @@ from cqd.manifold import (
     tucker_to_tensor,
     zero_tangent,
 )
-from cqd.tensor_core import multi_mode_product
 
 
 def random_stiefel(rng, n, p) -> StiefelPoint:

@@ -15,7 +15,6 @@ from cqd.optimizer import (
     TraceRow,
     descent_certificate,
     run_cqd,
-    run_cqd_ensemble,
     step_size,
     stochastic_grad,
 )
@@ -26,10 +25,10 @@ from cqd.tensor_core import hosvd
 RM = StepSchedule("robbins_monro", 0.5, 100.0)
 
 
-def setup_problem(seed, shape=(6, 6, 6), ranks=(2, 2, 2), tau=27, noise_floor=0.1, lam=0.0):
+def setup_problem(seed, shape=(6, 6, 6), ranks=(2, 2, 2), tau=27, noise_floor=0.1):
     instance, target = gen_synthetic(shape, ranks, noise_floor, seed)
     x0 = tucker_from_tensor(instance, ranks)
-    task = TaskSpec(target=target, lam=lam, tau=tau, task_id=seed)
+    task = TaskSpec(target=target, tau=tau, task_id=seed)
     return x0, task
 
 
@@ -41,27 +40,24 @@ def setup_problem(seed, shape=(6, 6, 6), ranks=(2, 2, 2), tau=27, noise_floor=0.
 def test_grad_zero_when_response_equals_iterate():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 3, 3))
-    task = TaskSpec(target=np.zeros((3, 3, 3)), tau=27)
     resp = OracleResponse(payload=x.copy(), query_checksum_echo=0, draws_used=1)
-    assert np.all(stochastic_grad(x, resp, task) == 0.0)
+    assert np.all(stochastic_grad(x, resp) == 0.0)
 
 
 def test_grad_equals_residual_for_identity_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 3, 3))
     t = rng.standard_normal((3, 3, 3))
-    task = TaskSpec(target=t, tau=27)
     resp = OracleResponse(payload=t, query_checksum_echo=0, draws_used=1)
-    assert np.array_equal(stochastic_grad(x, resp, task), x - t)
+    assert np.array_equal(stochastic_grad(x, resp), x - t)
 
 
 def test_grad_matches_central_differences():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 4, 5))
     r = rng.standard_normal((3, 4, 5))
-    task = TaskSpec(target=r, tau=27)
     resp = OracleResponse(payload=r, query_checksum_echo=0, draws_used=1)
-    g = stochastic_grad(x, resp, task)
+    g = stochastic_grad(x, resp)
 
     def f(y):
         return 0.5 * np.sum((y - r) ** 2)
@@ -75,10 +71,9 @@ def test_grad_matches_central_differences():
 
 
 def test_grad_shape_mismatch():
-    task = TaskSpec(target=np.zeros((2, 2, 2)), tau=27)
     resp = OracleResponse(payload=np.zeros((2, 2, 2)), query_checksum_echo=0, draws_used=1)
     with pytest.raises(ValueError):
-        stochastic_grad(np.zeros((3, 3, 3)), resp, task)
+        stochastic_grad(np.zeros((3, 3, 3)), resp)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +219,38 @@ def test_task_spec_tau_is_required_and_at_least_one():
     with pytest.raises(TypeError):
         TaskSpec(target=target)  # no default: a cap of 0 fits no mask
     with pytest.raises(TypeError):
-        TaskSpec(target, "quadratic", 0.0, 27)  # keyword-only
+        TaskSpec(target, 27)  # keyword-only
     for bad in (0, -1):
         with pytest.raises(ValueError, match="tau"):
             TaskSpec(target=target, tau=bad)
     assert TaskSpec(target=target, tau=1).tau == 1
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"iters": 0}, "iters"),
+        ({"m": 0}, "m must"),
+        ({"agg": "mode"}, "aggregator"),
+        # Used to escape the loop at k=0 as numpy's broadcast error.
+        ({"target_shape": (5, 6, 6)}, "x0 shape"),
+    ],
+    ids=["iters", "m", "agg", "x0-shape"],
+)
+def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, match):
+    import cqd.optimizer as optimizer
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was reached")
+
+    monkeypatch.setattr(optimizer, "SimulatedOracle", no_oracle)
+    monkeypatch.setattr(optimizer, "ensemble_infer", no_oracle)
+    args = {"iters": 5, "m": 1, "agg": "mean", "target_shape": (6, 6, 6), **change}
+    x0, _ = setup_problem(19)
+    _, target = gen_synthetic(args["target_shape"], (2, 2, 2), 0.1, 19)
+    task = TaskSpec(target=target, tau=27)
+    with pytest.raises(ValueError, match=match):
+        run_cqd(x0, task, OracleConfig(0.1, 19), RM, 0.1, args["iters"], args["m"], args["agg"])
 
 
 def test_iterate_hook_sees_every_iterate():
@@ -248,16 +270,17 @@ def test_iterate_hook_sees_every_iterate():
 
 
 def test_ensemble_m1_bit_identical_to_run_cqd():
+    # One draw is its own aggregate, whichever the method.
     x0, task = setup_problem(13)
     _, t1 = run_cqd(x0, task, OracleConfig(0.3, 13), RM, 0.1, 100)
-    _, t2 = run_cqd_ensemble(x0, task, OracleConfig(0.3, 13), RM, 0.1, 100, m=1)
+    _, t2 = run_cqd(x0, task, OracleConfig(0.3, 13), RM, 0.1, 100, m=1, agg="median")
     assert t1.rows == t2.rows
 
 
 def test_ensemble_zero_noise_independent_of_m():
     x0, task = setup_problem(14)
     traces = [
-        run_cqd_ensemble(
+        run_cqd(
             x0, task, OracleConfig(0.0, 14), StepSchedule("constant", 0.1), 0.1, 40, m=m
         )[1].rows
         for m in (1, 4)
@@ -271,9 +294,7 @@ def test_ensemble_reduces_terminal_loss():
     for seed in seeds:
         x0, task = setup_problem(seed)
         for m, sink in ((1, m1_losses), (16, m16_losses)):
-            _, tr = run_cqd_ensemble(
-                x0, task, OracleConfig(0.5, seed), RM, 0.1, 150, m=m
-            )
+            _, tr = run_cqd(x0, task, OracleConfig(0.5, seed), RM, 0.1, 150, m=m)
             sink.append(tr.rows[-1].loss)
     assert np.mean(m16_losses) < np.mean(m1_losses)
 
@@ -324,7 +345,8 @@ def test_certificate_validates_inputs():
 def test_lagrangian_objective_prefers_accepted_configuration():
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.3, 18)
     x0 = tucker_from_tensor(instance, (3, 3, 3))
-    task = TaskSpec(target=target, lam=0.05, tau=12, task_id=18)
+    task = TaskSpec(target=target, tau=12, task_id=18)
+    lam = 0.05  # budget multiplier of the Lagrangian
     iterates = []
     _, trace = run_cqd(
         x0, task, OracleConfig(0.1, 18), RM, 0.3, 250,
@@ -338,11 +360,11 @@ def test_lagrangian_objective_prefers_accepted_configuration():
         larger = mask_factorization(f, max(row.eps * EPS_DECREASE, 1e-6))
         obj_accepted = (
             np.sum((ambient - masked_tensor(accepted)) ** 2)
-            + task.lam * budget(accepted.maskset.ranks)
+            + lam * budget(accepted.maskset.ranks)
         )
         obj_larger = (
             np.sum((ambient - masked_tensor(larger)) ** 2)
-            + task.lam * budget(larger.maskset.ranks)
+            + lam * budget(larger.maskset.ranks)
         )
         wins += obj_accepted <= obj_larger + 1e-12
     assert wins / len(trace) >= 0.9

@@ -8,7 +8,6 @@ from cqd.oracle_sim import (
     SimulatedOracle,
     aggregate,
     ensemble_infer,
-    oracle_infer,
 )
 from cqd.query_codec import CodecError, IntegrityError, decode, encode
 from cqd.spectral_masking import asm_compress
@@ -29,13 +28,7 @@ def reference_payload(oracle, query, draw_index):
     gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
     shape = oracle.target.shape
     noise = oracle.cfg.noise_sigma / np.sqrt(np.prod(shape)) * gen.standard_normal(shape)
-    mean = oracle.target
-    if oracle.cfg.mean_map == "residual":
-        r1, r2, r3 = dq.ranks
-        lifted = np.zeros(shape)
-        lifted[:r1, :r2, :r3] = dq.core
-        mean = oracle.target - lifted
-    return mean + noise
+    return oracle.target + noise
 
 
 def test_zero_noise_returns_mean_exactly():
@@ -51,24 +44,27 @@ def test_zero_noise_returns_mean_exactly():
 
 
 def test_identity_completion_is_default_map():
+    # The noise-free answer is the target, whatever the query carries.
     rng = np.random.default_rng(1)
     target = rng.standard_normal((3, 3, 3))
-    query = make_query(rng, shape=(3, 3, 3))
-    resp = oracle_infer(query, OracleConfig(0.0, 1), target)
-    assert np.array_equal(resp.payload, target)
+    oracle = SimulatedOracle(OracleConfig(0.0, 1), target)
+    for eps in (0.1, 0.9):
+        query = make_query(rng, shape=(3, 3, 3), eps=eps)
+        assert np.array_equal(oracle.infer(query, 0).payload, target)
 
 
-def test_residual_map_subtracts_lifted_core():
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_oracle_keeps_its_own_read_only_target(sigma):
     rng = np.random.default_rng(2)
     target = rng.standard_normal((4, 5, 6))
-    query = make_query(rng, eps=0.5)
-    dq = decode(query)
-    oracle = SimulatedOracle(OracleConfig(0.0, 1, mean_map="residual"), target)
-    resp = oracle.infer(query, 0)
-    lifted = np.zeros(target.shape)
-    r1, r2, r3 = dq.ranks
-    lifted[:r1, :r2, :r3] = dq.core
-    assert np.array_equal(resp.payload, target - lifted)
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(sigma, 2), target)
+    before = oracle.infer(query, 0).payload.copy()
+    target[...] = 0.0
+    assert oracle.infer(query, 0).payload.tobytes() == before.tobytes()
+    assert not np.shares_memory(oracle.target, target)
+    with pytest.raises(ValueError):
+        oracle.target[0, 0, 0] = 1.0
 
 
 def test_checksum_echo_matches_query():
@@ -121,12 +117,11 @@ def test_successive_draws_of_one_query_share_no_noise_value():
         assert np.intersect1d(a, b).size == 0
 
 
-@pytest.mark.parametrize("mean_map", ["identity_completion", "residual"])
-def test_reused_generator_matches_a_fresh_stream_per_draw(mean_map):
+def test_reused_generator_matches_a_fresh_stream_per_draw():
     rng = np.random.default_rng(12)
     target = rng.standard_normal((4, 5, 6))
     queries = [make_query(rng, eps=0.5), make_query(rng, eps=0.5, task_id=1)]
-    oracle = SimulatedOracle(OracleConfig(0.7, 2**63 + 5, mean_map=mean_map), target)
+    oracle = SimulatedOracle(OracleConfig(0.7, 2**63 + 5), target)
     for query in queries:
         for d in (5, 3, 5, 0):  # out of order and repeated
             got = oracle.infer(query, d).payload
@@ -168,8 +163,9 @@ def test_corrupted_query_raises_integrity_error():
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(-0.1, 0)
-    with pytest.raises(ValueError):
-        OracleConfig(0.1, 0, mean_map="nope")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            OracleConfig(0.1, seed)
 
 
 def test_aggregate_single_and_symmetry():

@@ -1,0 +1,129 @@
+"""Property tests over random inputs: wire format, spectral mask and retractions.
+
+Derandomized and without an example database, so every run checks the
+same cases; they add to the fixed-seed tests of each module.
+"""
+from __future__ import annotations
+
+import zlib
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cqd.manifold import (
+    qr_retraction,
+    tangent_project_stiefel,
+    tangent_to_ambient,
+    tucker_retract,
+    tucker_to_tensor,
+    zero_tangent,
+)
+from cqd.query_codec import CodecError, decode, encode
+from cqd.spectral_masking import CompressedState, SpectralMaskSet, spectral_mask
+from tests.test_factored import SETTINGS, random_point, random_tangent, tucker_cases
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+H = 1e-5  # central-difference step of the first-order checks, as in criterion 4
+
+
+@st.composite
+def states(draw, max_rank: int = 4):
+    """A compressed state with arbitrary finite core values and the eps it was cut at."""
+    ranks = tuple(draw(st.integers(0, max_rank)) for _ in range(3))
+    values = draw(st.lists(FINITE, min_size=int(np.prod(ranks)), max_size=int(np.prod(ranks))))
+    core = np.array(values, dtype=np.float64).reshape(ranks)
+    eps = draw(st.floats(0.0, 1.0, exclude_max=True))
+    factors = tuple(np.eye(max(r, 1))[:, :r] for r in ranks)
+    cs = CompressedState(core, factors, SpectralMaskSet(eps_rel=eps, ranks=ranks))
+    return cs, eps
+
+
+@SETTINGS
+@given(
+    state=states(),
+    task_id=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_codec_round_trip(state, task_id, seed):
+    cs, eps = state
+    data = encode(cs, task_id, seed, eps)
+    r1, r2, r3 = cs.maskset.ranks
+    assert len(data) == 27 + 8 * r1 * r2 * r3
+    dq = decode(data)
+    assert dq.ranks == cs.maskset.ranks
+    assert (dq.task_id, dq.seed) == (task_id, seed)
+    assert dq.core.tobytes() == cs.masked_core.tobytes()  # -0.0 and subnormals too
+    assert abs(dq.eps_rel - eps) <= 5e-7  # the 1e-6 fixed-point grid
+    assert dq.checksum == zlib.crc32(data[:-4])
+    assert encode(cs, task_id, seed, eps) == data
+
+
+@SETTINGS
+@given(
+    state=states(max_rank=2),
+    task_id=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_single_bit_flip_is_rejected(state, task_id, seed):
+    cs, eps = state
+    data = encode(cs, task_id, seed, eps)
+    for i in range(8 * len(data)):
+        corrupted = bytearray(data)
+        corrupted[i // 8] ^= 1 << (i % 8)
+        try:
+            decode(bytes(corrupted))
+        except CodecError:
+            continue
+        raise AssertionError(f"flip of bit {i} of {len(data)} bytes was accepted")
+
+
+@SETTINGS
+@example(svals=[2.0, 1.0, 1.0, 0.5], eps=0.5)  # a value exactly at the threshold is kept
+@given(
+    svals=st.lists(st.floats(0.0, 1e300), max_size=12),
+    eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_spectral_mask_is_a_ones_prefix(svals, eps):
+    s = np.sort(np.array(svals, dtype=np.float64))[::-1]
+    mask = spectral_mask(s, eps)
+    kept = int(np.count_nonzero(mask))
+    assert mask.shape == s.shape
+    assert np.all(mask[:kept]) and not np.any(mask[kept:])
+    expected = int(np.count_nonzero(s >= eps * s[0])) if s.size and s[0] > 0 else 0
+    assert kept == expected
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stiefel_retraction_axioms(n, cols, seed):
+    p = min(n, cols)
+    rng = np.random.default_rng(seed)
+    u = qr_retraction(rng.standard_normal((n, p)))
+    assert np.max(np.abs(qr_retraction(u.u).u - u.u)) <= 1e-12
+    xi = tangent_project_stiefel(u, rng.standard_normal((n, p)))
+    fd = (qr_retraction(u.u + H * xi).u - qr_retraction(u.u - H * xi).u) / (2 * H)
+    assert np.max(np.abs(fd - xi)) <= 1e-6 * max(1.0, np.max(np.abs(xi)))
+
+
+@SETTINGS
+@given(case=tucker_cases())
+def test_tucker_retraction_axioms(case):
+    shape, ranks, seed = case
+    rng = np.random.default_rng(seed)
+    p = random_point(rng, shape, ranks)
+    x = tucker_to_tensor(p)
+    scale = max(1.0, np.max(np.abs(x)))
+    same = tucker_retract(p, zero_tangent(p), 1.0)
+    assert same.ranks == p.ranks
+    assert np.max(np.abs(tucker_to_tensor(same) - x)) <= 1e-12 * scale
+    t = random_tangent(rng, p)
+    emb = tangent_to_ambient(p, t)
+    plus = tucker_to_tensor(tucker_retract(p, t, H))
+    minus = tucker_to_tensor(tucker_retract(p, t.scaled(-1.0), H))
+    tol = 1e-6 * max(scale, np.max(np.abs(emb)))
+    assert np.max(np.abs((plus - minus) / (2 * H) - emb)) <= tol

@@ -14,7 +14,6 @@ from cqd.query_codec import (
     VersionError,
     decode,
     encode,
-    query_budget_bytes,
 )
 from cqd.spectral_masking import CompressedState, SpectralMaskSet, asm_compress
 
@@ -25,8 +24,7 @@ def state_with_ranks(rng, shape=(5, 5, 5), eps=0.3) -> CompressedState:
 
 def synthetic_state(core: np.ndarray, eps: float, factors=None) -> CompressedState:
     ranks = core.shape
-    masks = tuple(np.ones(r, dtype=bool) for r in ranks)
-    maskset = SpectralMaskSet(eps_rel=eps, masks=masks, ranks=ranks)
+    maskset = SpectralMaskSet(eps_rel=eps, ranks=ranks)
     if factors is None:
         factors = tuple(np.eye(max(r, 1))[:, :r] for r in ranks)
     return CompressedState(masked_core=core, masked_factors=factors, maskset=maskset)
@@ -154,14 +152,6 @@ def test_capacity_error_on_metadata():
         encode(cs, 2**32, 0, 0.5)
     with pytest.raises(CapacityError):
         encode(cs, 0, 2**64, 0.5)
-
-
-def test_query_budget_bytes():
-    rng = np.random.default_rng(6)
-    cs = state_with_ranks(rng)
-    data = encode(cs, 1, 2, 0.3)
-    r1, r2, r3 = cs.maskset.ranks
-    assert query_budget_bytes(data) == len(data) == 27 + 8 * r1 * r2 * r3
 
 
 def test_compression_ratio_illustration():

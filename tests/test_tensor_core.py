@@ -5,11 +5,11 @@ import pytest
 
 from cqd.tensor_core import (
     HosvdFactorization,
+    _multi_mult,
     as_tensor3,
     fold,
     hosvd,
     mode_n_product,
-    multi_mode_product,
     reconstruct,
     tail_energy,
     thin_hosvd,
@@ -39,7 +39,7 @@ def random_low_rank(rng, shape, ranks) -> np.ndarray:
     for mode in range(3):
         q, _ = np.linalg.qr(rng.standard_normal((shape[mode], ranks[mode])))
         mats.append(q)
-    return multi_mode_product(core, mats)
+    return _multi_mult(core, mats)
 
 
 def test_unfold_singleton():
@@ -307,7 +307,7 @@ def test_thin_hosvd_exact_with_rank_bound_by_columns():
     rng = np.random.default_rng(19)
     core = rng.standard_normal((2, 3, 2))
     factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
-    x = multi_mode_product(core, factors)
+    x = _multi_mult(core, factors)
     f = thin_hosvd(core, factors)
     assert [u.shape for u in f.factors] == [(5, 2), (6, 3), (4, 2)]
     assert np.linalg.norm(reconstruct(f) - x) <= 1e-12 * np.linalg.norm(x)
