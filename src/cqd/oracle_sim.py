@@ -45,7 +45,7 @@ class SimulatedOracle:
     The noise-free answer is the target itself, a perfect answer to the
     delegated sub-problem; the oracle keeps a read-only copy of it, so
     later writes to the caller's array do not change its answers. Every
-    new query is still decoded, which checks its CRC and framing.
+    new query is decoded, which checks its CRC and framing.
 
     Noise: zero-mean Gaussian with E||xi||^2 == sigma^2, from a counter-based
     Philox stream. The key is (seed, query checksum), so (seed, query
