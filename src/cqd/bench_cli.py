@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import qr_retraction, tucker_from_tensor
+from .manifold import gen_synthetic, qr_retraction, tucker_from_tensor
 from .optimizer import StepSchedule, TaskSpec, run_cqd
 from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import asm_compress, budget, mask_factorization, masked_tensor
-from .tensor_core import _multi_mult, hosvd, tail_energy, truncated_reconstruct
+from .tensor_core import hosvd, tail_energy, truncated_reconstruct
 
 # Pass/fail thresholds for the certification experiments.
 GRAD_SQ_THRESHOLD = 1e-3
@@ -97,41 +97,6 @@ def _finish(report: Report) -> Report:
     return report
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for key, value in out.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-    return out
-
-
-def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
-    """Random low-rank target plus an optionally perturbed starting instance.
-
-    The target is a random core pushed through random orthonormal factors,
-    so its multilinear rank equals true_ranks exactly; the instance adds
-    noise_floor times a unit-variance entrywise perturbation.
-    """
-    shape = tuple(int(s) for s in shape)
-    true_ranks = tuple(int(r) for r in true_ranks)
-    if any(r > d for r, d in zip(true_ranks, shape)) or any(r < 1 for r in true_ranks):
-        raise ValueError(f"ranks {true_ranks} invalid for shape {shape}")
-    if noise_floor < 0:
-        raise ValueError("noise_floor must be nonnegative")
-    rng = np.random.default_rng(seed)
-    core = rng.standard_normal(true_ranks)
-    mats = tuple(
-        qr_retraction(rng.standard_normal((shape[mode], true_ranks[mode]))).u
-        for mode in range(3)
-    )
-    target = _multi_mult(core, mats)
-    if noise_floor > 0:
-        instance = target + noise_floor * rng.standard_normal(shape)
-    else:
-        instance = target.copy()
-    return instance, target
-
-
 def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
     """Top-r singular projector beats random rank-r projectors on every draw."""
     if len(cfg.shape) != 2:
@@ -139,7 +104,7 @@ def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
     m_dim, n_dim = cfg.shape
     r = int(cfg.ranks[0])
     columns = ("seed", "optimal_residual_sq", "best_random_residual_sq", "violations")
-    report = Report("projopt", _config_dict(cfg), columns)
+    report = Report("projopt", dataclasses.asdict(cfg), columns)
     total_violations = 0
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
@@ -171,7 +136,7 @@ def exp_tail_bound(cfg: ExperimentConfig) -> Report:
     """Truncation residual is bounded by the discarded spectral energy, all rank triples."""
     max_dim = max(int(s) for s in cfg.shape)
     columns = ("instance", "shape", "n_triples", "violations", "max_slack_ratio")
-    report = Report("tailbound", _config_dict(cfg), columns)
+    report = Report("tailbound", dataclasses.asdict(cfg), columns)
     total_violations = 0
     base = int(cfg.seeds[0])
     for i in range(cfg.n_instances):
@@ -260,7 +225,7 @@ def exp_convergence(cfg: ExperimentConfig) -> Report:
         "diverged",
         "error",
     )
-    report = Report("converge", _config_dict(cfg), columns)
+    report = Report("converge", dataclasses.asdict(cfg), columns)
     for seed in cfg.seeds:
         for variant in ("rm_noisy", "deterministic", "negative_control"):
             report.rows.append(_convergence_run(cfg, seed, variant))
@@ -293,7 +258,7 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
         "distortion",
         "lagrangian",
     )
-    report = Report("ratedist", _config_dict(cfg), columns)
+    report = Report("ratedist", dataclasses.asdict(cfg), columns)
     grid = np.geomspace(1e-4, 0.999, cfg.grid_points)
     monotone = True
     for seed in cfg.seeds:
@@ -305,16 +270,16 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
         # Grid descends in eps so budget grows and distortion shrinks row to row.
         for idx, eps in enumerate(sorted(grid, reverse=True)):
             cs = mask_factorization(f, float(eps))
-            b = budget(cs.maskset.ranks)
+            b = budget(cs.ranks)
             distortion = float(np.sum((instance - masked_tensor(cs)) ** 2))
             report.rows.append(
                 {
                     "seed": seed,
                     "grid_index": idx,
                     "eps": float(eps),
-                    "r1": cs.maskset.ranks[0],
-                    "r2": cs.maskset.ranks[1],
-                    "r3": cs.maskset.ranks[2],
+                    "r1": cs.ranks[0],
+                    "r2": cs.ranks[1],
+                    "r3": cs.ranks[2],
                     "budget": b,
                     "distortion": distortion,
                     "lagrangian": distortion + cfg.lam * b,
@@ -335,7 +300,7 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
 def exp_ensemble_variance(cfg: ExperimentConfig) -> Report:
     """Mean-aggregated oracle variance scales as sigma^2 / m."""
     columns = ("seed", "m", "variance", "expected", "ratio")
-    report = Report("ensemble", _config_dict(cfg), columns)
+    report = Report("ensemble", dataclasses.asdict(cfg), columns)
     in_band = True
     decreasing = True
     for seed in cfg.seeds:
@@ -402,76 +367,55 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
+# Every ExperimentConfig field but these three is a flag, named after the
+# field with dashes unless renamed here.
+_UNFLAGGED = ("experiment", "eta0", "k0")
+_FLAG_NAMES = {"seeds": "seed-list", "eps0": "eps", "lam": "lambda",
+               "n_projectors": "projectors", "n_instances": "instances", "m_values": "m-list"}
+# Per-experiment defaults that differ from ExperimentConfig's.
+_DEFAULTS = {
+    "projopt": {"shape": (6, 8), "ranks": (2,), "seeds": tuple(range(20))},
+    "tailbound": {"shape": (5, 5, 5), "seeds": (0,)},
+    "ensemble": {"sigma": 0.5},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqd-bench",
         description="Certification experiments for spectral-masked query delegation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {
-        "projopt": {"shape": "6,8", "ranks": "2", "seeds": ",".join(str(s) for s in range(20))},
-        "tailbound": {"shape": "5,5,5", "ranks": "2,2,2", "seeds": "0"},
-        "converge": {"shape": "6,6,6", "ranks": "2,2,2", "seeds": ",".join(str(s) for s in range(10))},
-        "ratedist": {"shape": "6,6,6", "ranks": "2,2,2", "seeds": ",".join(str(s) for s in range(10))},
-        "ensemble": {"shape": "6,6,6", "ranks": "2,2,2", "seeds": ",".join(str(s) for s in range(10))},
-    }
     for name, fn in EXPERIMENTS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        d = defaults[name]
-        p.add_argument("--seed-list", default=d["seeds"], help="comma-separated seeds")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", default="json", choices=("csv", "json"))
-        p.add_argument("--shape", default=d["shape"], help="comma-separated dims")
-        p.add_argument("--ranks", default=d["ranks"], help="comma-separated ranks")
-        p.add_argument("--sigma", type=float, default=0.1 if name != "ensemble" else 0.5)
-        p.add_argument("--iters", type=int, default=5000)
-        p.add_argument("--eps", type=float, default=0.1, dest="eps0")
-        p.add_argument("--tau", type=int, default=27)
-        p.add_argument("--lambda", type=float, default=0.1, dest="lam")
-        p.add_argument("--grid-points", type=int, default=50)
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--projectors", type=int, default=500)
-        p.add_argument("--instances", type=int, default=100)
-        p.add_argument("--m-list", default="1,4,16,64")
-        p.add_argument("--noise-floor", type=float, default=0.1)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in _UNFLAGGED:
+                continue
+            default = _DEFAULTS.get(name, {}).get(f.name, f.default)
+            tuple_valued = isinstance(default, tuple)
+            p.add_argument(
+                "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
+                dest=f.name,
+                type=_int_tuple if tuple_valued else type(default),
+                default=default,
+                help=f"{'comma-separated, ' if tuple_valued else ''}default %(default)s",
+            )
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=args.command,
-        shape=_int_tuple(args.shape),
-        ranks=_int_tuple(args.ranks),
-        sigma=args.sigma,
-        seeds=_int_tuple(args.seed_list),
-        iters=args.iters,
-        eps0=args.eps0,
-        tau=args.tau,
-        lam=args.lam,
-        noise_floor=args.noise_floor,
-        grid_points=args.grid_points,
-        trials=args.trials,
-        n_projectors=args.projectors,
-        n_instances=args.instances,
-        m_values=_int_tuple(args.m_list),
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    report = EXPERIMENTS[args.command](cfg)
-    if args.out:
-        emit_report(report, args.out, args.format)
+    opts = vars(build_parser().parse_args(argv))
+    command, out, fmt = opts.pop("command"), opts.pop("out"), opts.pop("format")
+    report = EXPERIMENTS[command](ExperimentConfig(experiment=command, **opts))
+    if out:
+        emit_report(report, out, fmt)
     for flag, value in report.passed.items():
-        print(f"[{'PASS' if value else 'FAIL'}] {args.command}: {flag}")
-    print(f"{args.command}: {len(report.rows)} rows, overall {'PASS' if report.ok else 'FAIL'}")
+        print(f"[{'PASS' if value else 'FAIL'}] {command}: {flag}")
+    print(f"{command}: {len(report.rows)} rows, overall {'PASS' if report.ok else 'FAIL'}")
     return 0 if report.ok else 1
 
 
-def cli_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    cli_main()
+    sys.exit(main())

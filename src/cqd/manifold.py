@@ -1,4 +1,4 @@
-"""Stiefel and fixed multilinear-rank geometry: tangent projections and retractions."""
+"""Stiefel and fixed multilinear-rank geometry: projections, retractions, synthetic targets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -106,11 +106,31 @@ def qr_retraction(y) -> StiefelPoint:
     return StiefelPoint(q * np.where(diag < 0, -1.0, 1.0))
 
 
-def stiefel_step(point: StiefelPoint, g, eta: float) -> StiefelPoint:
-    """One retraction step along the negative projected gradient."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return qr_retraction(point.u - eta * tangent_project_stiefel(point, g))
+def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
+    """Random low-rank target plus an optionally perturbed starting instance.
+
+    The target is a random core pushed through random orthonormal factors,
+    so its multilinear rank equals true_ranks exactly; the instance adds
+    noise_floor times a unit-variance entrywise perturbation.
+    """
+    shape = tuple(int(s) for s in shape)
+    true_ranks = tuple(int(r) for r in true_ranks)
+    if any(r > d for r, d in zip(true_ranks, shape)) or any(r < 1 for r in true_ranks):
+        raise ValueError(f"ranks {true_ranks} invalid for shape {shape}")
+    if noise_floor < 0:
+        raise ValueError("noise_floor must be nonnegative")
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal(true_ranks)
+    mats = tuple(
+        qr_retraction(rng.standard_normal((shape[mode], true_ranks[mode]))).u
+        for mode in range(3)
+    )
+    target = _multi_mult(core, mats)
+    if noise_floor > 0:
+        instance = target + noise_floor * rng.standard_normal(shape)
+    else:
+        instance = target.copy()
+    return instance, target
 
 
 def tucker_to_tensor(p: TuckerPoint) -> np.ndarray:

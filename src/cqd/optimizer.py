@@ -15,7 +15,7 @@ from .manifold import (
     tucker_retract,
     tucker_to_tensor,
 )
-from .oracle_sim import AGGREGATORS, OracleConfig, OracleResponse, SimulatedOracle, ensemble_infer
+from .oracle_sim import AGGREGATORS, OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
 from .tensor_core import Ranks3, as_tensor3, thin_hosvd
@@ -90,15 +90,6 @@ class RunTrace:
         return np.array([getattr(row, name) for row in self.rows])
 
 
-def stochastic_grad(x_ambient, response: OracleResponse) -> np.ndarray:
-    """Euclidean gradient surrogate of the quadratic loss 0.5 * ||X - R||_F^2."""
-    x = as_tensor3(x_ambient)
-    r = as_tensor3(response.payload)
-    if x.shape != r.shape:
-        raise ValueError(f"iterate shape {x.shape} does not match response shape {r.shape}")
-    return x - r
-
-
 def run_cqd(
     x0: TuckerPoint,
     task: TaskSpec,
@@ -148,7 +139,7 @@ def run_cqd(
             cs, eps = compress_within_budget(
                 thin_hosvd(x.core, tuple(f.u for f in x.factors)), eps, task.tau
             )
-            achieved = budget(cs.maskset.ranks)
+            achieved = budget(cs.ranks)
             stage = "oracle"
             query = encode(cs, task.task_id, oracle_cfg.seed, eps)
             response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
@@ -163,7 +154,7 @@ def run_cqd(
                     k=k,
                     loss=loss,
                     grad_norm_sq=grad_norm_sq,
-                    ranks=cs.maskset.ranks,
+                    ranks=cs.ranks,
                     budget=achieved,
                     eta=eta,
                     eps=eps,
@@ -173,7 +164,8 @@ def run_cqd(
                 iterate_hook(k, ambient)
 
             stage = "step"
-            step_dir = riemannian_grad_tucker(x, stochastic_grad(ambient, response))
+            # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's answer R.
+            step_dir = riemannian_grad_tucker(x, ambient - response.payload)
             stage = "retract"
             x = tucker_retract(x, step_dir.scaled(-1.0), eta)
         except (RankDeficiencyError, np.linalg.LinAlgError) as exc:

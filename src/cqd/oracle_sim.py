@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,12 +31,6 @@ class OracleResponse:
     payload: np.ndarray
     query_checksum_echo: int
     draws_used: int
-
-
-class OracleBackend(Protocol):
-    """Minimal oracle surface; a remote backend would implement the same call."""
-
-    def infer(self, query: bytes, draw_index: int) -> OracleResponse: ...
 
 
 class SimulatedOracle:
@@ -97,48 +91,59 @@ class SimulatedOracle:
         return OracleResponse(payload=payload, query_checksum_echo=dq.checksum, draws_used=1)
 
 
-def aggregate(payloads: Sequence[np.ndarray], method: str = "mean") -> np.ndarray:
+def aggregate(payloads: Iterable[np.ndarray], method: str = "mean") -> np.ndarray:
     """Elementwise mean or median of shape-homogeneous payloads, in a fresh array.
 
-    The mean is float64 and leaves the payloads unmodified.
+    The mean is float64, leaves the payloads unmodified and consumes them
+    one at a time: a running sum in draw order, then one divide, which is
+    what np.mean of the stacked payloads computes along axis 0.
     """
     if method not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {method!r}, expected one of {AGGREGATORS}")
-    if len(payloads) == 0:
-        raise ValueError("cannot aggregate an empty response list")
-    first = np.asarray(payloads[0])
-    for p in payloads[1:]:
-        if np.asarray(p).shape != first.shape:
+    if method == "median":  # raises ValueError on no payloads or unequal shapes
+        return np.median(np.stack([np.asarray(p) for p in payloads], axis=0), axis=0)
+    total = None
+    count = 0
+    for p in payloads:
+        if total is None:
+            total = np.array(p, dtype=np.float64)
+        elif np.shape(p) != total.shape:
             raise ValueError("payload shapes are not homogeneous")
-    if method == "mean":
-        # A running sum in draw order, then one divide: what np.mean of the
-        # stacked payloads computes along axis 0, without the stack.
-        total = np.array(first, dtype=np.float64)
-        for p in payloads[1:]:
+        else:
             total += p
-        total /= len(payloads)
-        return total
-    return np.median(np.stack([np.asarray(p) for p in payloads], axis=0), axis=0)
+        count += 1
+        del p  # freed before the iterator makes the next payload
+    if total is None:
+        raise ValueError("cannot aggregate an empty response list")
+    total /= count
+    return total
 
 
 def ensemble_infer(
-    oracle: OracleBackend,
+    oracle: SimulatedOracle,
     query: bytes,
     m: int,
     agg: str = "mean",
     draw_start: int = 0,
 ) -> OracleResponse:
-    """Issue m independent draws of one query and aggregate the responses."""
+    """Issue m independent draws of one query and aggregate the responses.
+
+    Each draw is made as `aggregate` asks for it and freed before the next.
+    """
     if m < 1:
         raise ValueError("ensemble size m must be at least 1")
     if agg not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
     if m == 1:  # aggregate of a singleton is itself, for either method
         return oracle.infer(query, draw_start)
-    responses = [oracle.infer(query, draw_start + i) for i in range(m)]
-    payload = aggregate([r.payload for r in responses], agg)
-    return OracleResponse(
-        payload=payload,
-        query_checksum_echo=responses[0].query_checksum_echo,
-        draws_used=m,
-    )
+    echoes = []
+
+    def payloads():
+        for i in range(m):
+            response = oracle.infer(query, draw_start + i)
+            echoes.append(response.query_checksum_echo)
+            yield response.payload
+            del response
+
+    payload = aggregate(payloads(), agg)
+    return OracleResponse(payload=payload, query_checksum_echo=echoes[0], draws_used=m)

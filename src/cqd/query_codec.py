@@ -68,7 +68,8 @@ class DecodedQuery:
 
 def encode(cs: CompressedState, task_id: int, seed: int, eps_rel: float) -> bytes:
     """Serialize a compressed state; deterministic for equal inputs."""
-    ranks = cs.maskset.ranks
+    core = np.ascontiguousarray(cs.masked_core, dtype="<f8")
+    ranks = core.shape  # the header's ranks are those of the core it carries
     for r in ranks:
         if r > _MAX_RANK:
             raise CapacityError(f"rank {r} exceeds uint16 capacity")
@@ -82,8 +83,7 @@ def encode(cs: CompressedState, task_id: int, seed: int, eps_rel: float) -> byte
     header = _HEADER.pack(
         VERSION, ranks[0], ranks[1], ranks[2], eps_micro, int(task_id), int(seed)
     )
-    payload = np.ascontiguousarray(cs.masked_core, dtype="<f8").tobytes()
-    body = header + payload
+    body = header + core.tobytes()
     return body + _CRC.pack(zlib.crc32(body))
 
 

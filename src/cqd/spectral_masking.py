@@ -23,29 +23,20 @@ def _check_eps(eps_rel: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralMaskSet:
-    """Ranks kept per mode under a relative singular-value threshold.
+class CompressedState:
+    """Masked core plus the retained factor columns that reproduce the projection.
 
     Mode n keeps its leading ranks[n] singular directions: descending svals
     under a threshold relative to the largest give a ones-prefix mask
     (see :func:`spectral_mask`).
     """
 
-    eps_rel: float
-    ranks: Ranks3
-
-
-@dataclass(frozen=True)
-class CompressedState:
-    """Masked core plus the retained factor columns that reproduce the projection."""
-
     masked_core: np.ndarray
     masked_factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    maskset: SpectralMaskSet
 
     @property
-    def shape(self):
-        return tuple(u.shape[0] for u in self.masked_factors)
+    def ranks(self) -> Ranks3:
+        return self.masked_core.shape
 
 
 def spectral_mask(svals, eps_rel: float) -> np.ndarray:
@@ -71,10 +62,9 @@ def spectral_mask(svals, eps_rel: float) -> np.ndarray:
 def mask_factorization(f: HosvdFactorization, eps_rel: float) -> CompressedState:
     """Apply spectral masking to an existing factorization."""
     ranks = tuple(int(np.count_nonzero(spectral_mask(f.svals[mode], eps_rel))) for mode in MODES)
-    maskset = SpectralMaskSet(eps_rel=_check_eps(eps_rel), ranks=ranks)
     core = f.core[: ranks[0], : ranks[1], : ranks[2]]
     factors = tuple(f.factors[mode][:, : ranks[mode]] for mode in MODES)
-    return CompressedState(masked_core=core, masked_factors=factors, maskset=maskset)
+    return CompressedState(masked_core=core, masked_factors=factors)
 
 
 def asm_compress(x, eps_rel: float) -> CompressedState:
@@ -124,7 +114,7 @@ def compress_within_budget(
     """
     cs = mask_factorization(f, eps_rel)
     for _ in range(max_steps):
-        achieved = budget(cs.maskset.ranks)
+        achieved = budget(cs.ranks)
         if achieved <= tau:
             break
         bumped = adapt_epsilon(eps_rel, achieved, tau)

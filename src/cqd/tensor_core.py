@@ -5,12 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Shape3 = tuple[int, int, int]
 Ranks3 = tuple[int, int, int]
 
 MODES = (0, 1, 2)
 
-# The hot paths below avoid the per-call validation of the public wrappers.
+# Axis order that brings each mode first, the others in their original order.
 _MODE_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
@@ -34,12 +33,9 @@ def as_matrix(data) -> np.ndarray:
     return arr
 
 
-def _check_mode(mode: int) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode}")
-
-
 def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-n unfolding: one row per index of `mode`, the other two indices
+    enumerated row-major in their original order along the columns."""
     cols = 1
     for i in MODES:
         if i != mode:
@@ -67,47 +63,6 @@ def _multi_mult(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def unfold(x, mode: int) -> np.ndarray:
-    """Mode-n unfolding: move axis `mode` first, flatten the rest in order.
-
-    The returned matrix has shape (I_mode, product of the other two dims);
-    column j corresponds to the remaining indices enumerated row-major in
-    their original relative order.
-    """
-    x = as_tensor3(x)
-    _check_mode(mode)
-    return np.ascontiguousarray(_unfold(x, mode))
-
-
-def fold(m, mode: int, shape: Shape3) -> np.ndarray:
-    """Exact inverse of :func:`unfold` for the given mode and target shape."""
-    m = as_matrix(m)
-    _check_mode(mode)
-    if len(shape) != 3 or any(int(s) < 0 for s in shape):
-        raise ValueError(f"invalid tensor shape {shape}")
-    rest = tuple(int(shape[i]) for i in MODES if i != mode)
-    expected = (int(shape[mode]), int(np.prod(rest)))
-    if m.shape != expected:
-        raise ValueError(
-            f"matrix shape {m.shape} inconsistent with shape={shape}, mode={mode}"
-        )
-    return np.ascontiguousarray(
-        np.moveaxis(m.reshape((expected[0],) + rest), 0, mode)
-    )
-
-
-def mode_n_product(x, a, mode: int) -> np.ndarray:
-    """Mode-n product X x_mode A: multiply every mode-n fiber by the matrix A."""
-    x = as_tensor3(x)
-    a = as_matrix(a)
-    _check_mode(mode)
-    if a.shape[1] != x.shape[mode]:
-        raise ValueError(
-            f"matrix has {a.shape[1]} columns, tensor dim {mode} is {x.shape[mode]}"
-        )
-    return _mode_mult(x, a, mode)
-
-
 @dataclass(frozen=True)
 class HosvdFactorization:
     """HOSVD of a third-order tensor: X = core x_1 U1 x_2 U2 x_3 U3.
@@ -129,10 +84,6 @@ class HosvdFactorization:
                 raise ValueError(f"factor with {u.shape[1]} columns has {s.size} singular values")
             if s.size and (s[-1] < 0 or np.any(np.diff(s) > 0)):
                 raise ValueError("singular values must be nonnegative and non-increasing")
-
-    @property
-    def shape(self) -> Shape3:
-        return self.core.shape
 
 
 def _signs(u: np.ndarray) -> np.ndarray:

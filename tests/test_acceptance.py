@@ -182,16 +182,18 @@ def test_criterion_08_wire_format():
     lengths_ok = True
     for _ in range(100):
         shape = tuple(int(d) for d in rng.integers(2, 7, size=3))
-        cs = asm_compress(rng.standard_normal(shape), float(rng.uniform(0.05, 0.9)))
+        x = rng.standard_normal(shape)
+        eps = float(rng.uniform(0.05, 0.9))
+        cs = asm_compress(x, eps)
         task_id = int(rng.integers(0, 2**32))
         seed = int(rng.integers(0, 2**63))
-        data = encode(cs, task_id, seed, cs.maskset.eps_rel)
-        r1, r2, r3 = cs.maskset.ranks
+        data = encode(cs, task_id, seed, eps)
+        r1, r2, r3 = cs.ranks
         if len(data) != 27 + 8 * r1 * r2 * r3:
             lengths_ok = False
         dq = decode(data)
         if (
-            dq.ranks == cs.maskset.ranks
+            dq.ranks == cs.ranks
             and dq.task_id == task_id
             and dq.seed == seed
             and dq.core.tobytes() == np.ascontiguousarray(cs.masked_core).tobytes()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+import cqd.bench_cli as bench_cli
 from cqd.bench_cli import (
     ExperimentConfig,
     Report,
@@ -224,3 +227,76 @@ def test_cli_seed_and_shape_parsing(tmp_path):
     assert rc == 0
     text = (tmp_path / "t.csv").read_text()
     assert text.startswith("instance,shape,n_triples,violations,max_slack_ratio")
+
+
+# What each subcommand parsed to before the parser was built from
+# ExperimentConfig's fields, spelled out field by field.
+_COMMON = dict(
+    shape=(6, 6, 6), ranks=(2, 2, 2), sigma=0.1, seeds=tuple(range(10)), iters=5000, eps0=0.1,
+    tau=27, lam=0.1, noise_floor=0.1, eta0=0.5, k0=100.0, grid_points=50, trials=2000,
+    n_projectors=500, n_instances=100, m_values=(1, 4, 16, 64),
+)
+PINNED_DEFAULTS = {
+    "projopt": dict(_COMMON, shape=(6, 8), ranks=(2,), seeds=tuple(range(20))),
+    "tailbound": dict(_COMMON, shape=(5, 5, 5), seeds=(0,)),
+    "converge": _COMMON,
+    "ratedist": _COMMON,
+    "ensemble": dict(_COMMON, sigma=0.5),
+}
+FLAGS = {
+    "--seed-list", "--out", "--format", "--shape", "--ranks", "--sigma", "--iters", "--eps",
+    "--tau", "--lambda", "--grid-points", "--trials", "--projectors", "--instances",
+    "--m-list", "--noise-floor",
+}
+
+
+def typed(cfg) -> dict:
+    """Field values with their types: a report writes 27 and 27.0 differently."""
+    fields = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
+    return {k: (type(v), v) for k, v in fields.items()}
+
+
+def run_main(monkeypatch, argv):
+    """main(argv) with the experiment and the report writer replaced by recorders."""
+    seen = {}
+
+    def experiment(cfg):
+        seen["cfg"] = cfg
+        return Report(cfg.experiment, {}, ())
+
+    monkeypatch.setitem(bench_cli.EXPERIMENTS, argv[0], experiment)
+    monkeypatch.setattr(bench_cli, "emit_report", lambda report, path, fmt: seen.update(out=(path, fmt)))
+    assert main(argv) == 0
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEFAULTS))
+def test_cli_defaults_are_pinned(monkeypatch, name):
+    cfg = run_main(monkeypatch, [name])["cfg"]
+    assert typed(cfg) == typed(dict(PINNED_DEFAULTS[name], experiment=name))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEFAULTS))
+def test_cli_offers_exactly_the_sixteen_flags(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS | {"--help"}
+    for flag in ("--eta0", "--k0"):
+        with pytest.raises(SystemExit):
+            main([name, flag, "1"])
+
+
+def test_cli_every_flag_lands_in_its_field(monkeypatch):
+    argv = (
+        "ratedist --seed-list 3,4 --out x.csv --format csv --shape 4,5,6 --ranks 1,2,3"
+        " --sigma 0.2 --iters 7 --eps 0.3 --tau 9 --lambda 0.4 --grid-points 11 --trials 12"
+        " --projectors 13 --instances 14 --m-list 2,3 --noise-floor 0.05"
+    ).split()
+    seen = run_main(monkeypatch, argv)
+    assert seen["out"] == ("x.csv", "csv")
+    assert typed(seen["cfg"]) == typed(dict(
+        experiment="ratedist", shape=(4, 5, 6), ranks=(1, 2, 3), sigma=0.2, seeds=(3, 4),
+        iters=7, eps0=0.3, tau=9, lam=0.4, noise_floor=0.05, eta0=0.5, k0=100.0,
+        grid_points=11, trials=12, n_projectors=13, n_instances=14, m_values=(2, 3),
+    ))

@@ -123,7 +123,7 @@ def test_thin_hosvd_mask_matches_dense_hosvd(case, eps):
         assume(np.all(np.abs(s[:r] / s[0] - eps) > 1e-9))
     got = mask_factorization(thin, eps)
     want = mask_factorization(dense, eps)
-    assert got.maskset.ranks == want.maskset.ranks
+    assert got.ranks == want.ranks
     assert np.max(np.abs(got.masked_core - want.masked_core), initial=0.0) <= RTOL * scale
     for a, b in zip(got.masked_factors, want.masked_factors):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-10

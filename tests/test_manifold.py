@@ -10,7 +10,6 @@ from cqd.manifold import (
     TuckerTangent,
     qr_retraction,
     riemannian_grad_tucker,
-    stiefel_step,
     tangent_norm_sq,
     tangent_project_stiefel,
     tangent_to_ambient,
@@ -114,38 +113,6 @@ def test_qr_retraction_deterministic():
     q1 = qr_retraction(y).u
     q2 = qr_retraction(y.copy()).u
     assert q1.tobytes() == q2.tobytes()
-
-
-def test_stiefel_step_zero_gradient():
-    rng = np.random.default_rng(8)
-    u = random_stiefel(rng, 6, 3)
-    moved = stiefel_step(u, np.zeros((6, 3)), 0.5)
-    assert np.max(np.abs(moved.u - u.u)) <= 1e-12
-
-
-def test_stiefel_step_is_first_order_in_eta():
-    rng = np.random.default_rng(9)
-    u = random_stiefel(rng, 6, 3)
-    g = rng.standard_normal((6, 3))
-    norms = {}
-    for eta in (1e-3, 1e-4):
-        norms[eta] = np.linalg.norm(stiefel_step(u, g, eta).u - u.u)
-    ratio = norms[1e-3] / norms[1e-4]
-    assert 8.0 <= ratio <= 12.0  # O(eta) scaling
-
-
-def test_stiefel_step_descends_rayleigh_objective():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((6, 6))
-    a = a @ a.T + 6 * np.eye(6)  # SPD
-    u = random_stiefel(rng, 6, 2)
-
-    def f(m):
-        return -np.trace(m.T @ a @ m)
-
-    grad = -2 * a @ u.u
-    moved = stiefel_step(u, grad, 1e-3)
-    assert f(moved.u) <= f(u.u)
 
 
 # ---------------------------------------------------------------------------

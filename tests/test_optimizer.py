@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqd.bench_cli import gen_synthetic
-from cqd.manifold import tucker_from_tensor, tucker_to_tensor
+from cqd.manifold import gen_synthetic, tucker_from_tensor, tucker_to_tensor
 from cqd.optimizer import (
     OracleConfig,
     RunTrace,
@@ -16,9 +15,7 @@ from cqd.optimizer import (
     descent_certificate,
     run_cqd,
     step_size,
-    stochastic_grad,
 )
-from cqd.oracle_sim import OracleResponse
 from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization, masked_tensor
 from cqd.tensor_core import hosvd
 
@@ -30,50 +27,6 @@ def setup_problem(seed, shape=(6, 6, 6), ranks=(2, 2, 2), tau=27, noise_floor=0.
     x0 = tucker_from_tensor(instance, ranks)
     task = TaskSpec(target=target, tau=tau, task_id=seed)
     return x0, task
-
-
-# ---------------------------------------------------------------------------
-# stochastic_grad
-# ---------------------------------------------------------------------------
-
-
-def test_grad_zero_when_response_equals_iterate():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 3, 3))
-    resp = OracleResponse(payload=x.copy(), query_checksum_echo=0, draws_used=1)
-    assert np.all(stochastic_grad(x, resp) == 0.0)
-
-
-def test_grad_equals_residual_for_identity_oracle():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 3, 3))
-    t = rng.standard_normal((3, 3, 3))
-    resp = OracleResponse(payload=t, query_checksum_echo=0, draws_used=1)
-    assert np.array_equal(stochastic_grad(x, resp), x - t)
-
-
-def test_grad_matches_central_differences():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 4, 5))
-    r = rng.standard_normal((3, 4, 5))
-    resp = OracleResponse(payload=r, query_checksum_echo=0, draws_used=1)
-    g = stochastic_grad(x, resp)
-
-    def f(y):
-        return 0.5 * np.sum((y - r) ** 2)
-
-    h = 1e-5
-    for _ in range(5):
-        direction = rng.standard_normal(x.shape)
-        direction /= np.linalg.norm(direction)
-        fd = (f(x + h * direction) - f(x - h * direction)) / (2 * h)
-        assert abs(fd - np.sum(g * direction)) <= 1e-6
-
-
-def test_grad_shape_mismatch():
-    resp = OracleResponse(payload=np.zeros((2, 2, 2)), query_checksum_echo=0, draws_used=1)
-    with pytest.raises(ValueError):
-        stochastic_grad(np.zeros((3, 3, 3)), resp)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +313,11 @@ def test_lagrangian_objective_prefers_accepted_configuration():
         larger = mask_factorization(f, max(row.eps * EPS_DECREASE, 1e-6))
         obj_accepted = (
             np.sum((ambient - masked_tensor(accepted)) ** 2)
-            + lam * budget(accepted.maskset.ranks)
+            + lam * budget(accepted.ranks)
         )
         obj_larger = (
             np.sum((ambient - masked_tensor(larger)) ** 2)
-            + lam * budget(larger.maskset.ranks)
+            + lam * budget(larger.ranks)
         )
         wins += obj_accepted <= obj_larger + 1e-12
     assert wins / len(trace) >= 0.9

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,42 @@ def test_ensemble_variance_reduction_m25():
     variance = float(np.mean(sq))
     expected = sigma**2 / m
     assert abs(variance - expected) <= 0.2 * expected
+
+
+def test_ensemble_mean_holds_about_two_payloads():
+    rng = np.random.default_rng(42)
+    target = rng.standard_normal((24, 24, 24))
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(0.3, 42), target)
+    oracle.infer(query, 0)  # decode outside the measurement
+    tracemalloc.start()
+    try:
+        resp = ensemble_infer(oracle, query, 32, "mean")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resp.draws_used == 32
+    assert peak <= 3 * target.nbytes  # all 32 draws were alive at once before
+
+
+@pytest.mark.parametrize("m", [2, 64])
+def test_streamed_ensemble_mean_matches_numpy_bitwise(m):
+    rng = np.random.default_rng(43)
+    target = rng.standard_normal((4, 5, 6))
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(0.7, 43), target)
+    stacked = np.stack([oracle.infer(query, 9 + i).payload for i in range(m)])
+    resp = ensemble_infer(oracle, query, m, "mean", draw_start=9)
+    assert resp.payload.tobytes() == np.mean(stacked, axis=0).tobytes()
+    assert resp.query_checksum_echo == decode(query).checksum
+
+
+def test_aggregate_consumes_an_iterator():
+    payloads = [np.full((2, 3), v) for v in (1.0, 2.0, 6.0)]
+    assert np.array_equal(aggregate(iter(payloads), "mean"), np.full((2, 3), 3.0))
+    assert np.array_equal(aggregate(iter(payloads), "median"), np.full((2, 3), 2.0))
+    with pytest.raises(ValueError):
+        aggregate(iter([]), "mean")
 
 
 def test_ensemble_rejects_bad_m():

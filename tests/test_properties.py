@@ -20,7 +20,7 @@ from cqd.manifold import (
     zero_tangent,
 )
 from cqd.query_codec import CodecError, decode, encode
-from cqd.spectral_masking import CompressedState, SpectralMaskSet, spectral_mask
+from cqd.spectral_masking import CompressedState, spectral_mask
 from tests.test_factored import SETTINGS, random_point, random_tangent, tucker_cases
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -35,7 +35,7 @@ def states(draw, max_rank: int = 4):
     core = np.array(values, dtype=np.float64).reshape(ranks)
     eps = draw(st.floats(0.0, 1.0, exclude_max=True))
     factors = tuple(np.eye(max(r, 1))[:, :r] for r in ranks)
-    cs = CompressedState(core, factors, SpectralMaskSet(eps_rel=eps, ranks=ranks))
+    cs = CompressedState(core, factors)
     return cs, eps
 
 
@@ -48,10 +48,10 @@ def states(draw, max_rank: int = 4):
 def test_codec_round_trip(state, task_id, seed):
     cs, eps = state
     data = encode(cs, task_id, seed, eps)
-    r1, r2, r3 = cs.maskset.ranks
+    r1, r2, r3 = cs.ranks
     assert len(data) == 27 + 8 * r1 * r2 * r3
     dq = decode(data)
-    assert dq.ranks == cs.maskset.ranks
+    assert dq.ranks == cs.ranks
     assert (dq.task_id, dq.seed) == (task_id, seed)
     assert dq.core.tobytes() == cs.masked_core.tobytes()  # -0.0 and subnormals too
     assert abs(dq.eps_rel - eps) <= 5e-7  # the 1e-6 fixed-point grid

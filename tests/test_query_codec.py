@@ -15,24 +15,22 @@ from cqd.query_codec import (
     decode,
     encode,
 )
-from cqd.spectral_masking import CompressedState, SpectralMaskSet, asm_compress
+from cqd.spectral_masking import CompressedState, asm_compress
 
 
 def state_with_ranks(rng, shape=(5, 5, 5), eps=0.3) -> CompressedState:
     return asm_compress(rng.standard_normal(shape), eps)
 
 
-def synthetic_state(core: np.ndarray, eps: float, factors=None) -> CompressedState:
-    ranks = core.shape
-    maskset = SpectralMaskSet(eps_rel=eps, ranks=ranks)
+def synthetic_state(core: np.ndarray, factors=None) -> CompressedState:
     if factors is None:
-        factors = tuple(np.eye(max(r, 1))[:, :r] for r in ranks)
-    return CompressedState(masked_core=core, masked_factors=factors, maskset=maskset)
+        factors = tuple(np.eye(max(r, 1))[:, :r] for r in core.shape)
+    return CompressedState(masked_core=core, masked_factors=factors)
 
 
 def test_empty_ranks_is_27_bytes():
     cs = asm_compress(np.zeros((3, 3, 3)), 0.2)
-    assert cs.maskset.ranks == (0, 0, 0)
+    assert cs.ranks == (0, 0, 0)
     data = encode(cs, task_id=0, seed=0, eps_rel=0.2)
     assert len(data) == 27
     dq = decode(data)
@@ -41,7 +39,7 @@ def test_empty_ranks_is_27_bytes():
 
 
 def test_unit_core_payload_is_ieee754_little_endian():
-    cs = synthetic_state(np.array([[[1.0]]]), 0.5)
+    cs = synthetic_state(np.array([[[1.0]]]))
     data = encode(cs, task_id=0, seed=0, eps_rel=0.5)
     assert data[23:31] == struct.pack("<d", 1.0)
 
@@ -51,22 +49,22 @@ def test_golden_bytes_hand_assembled():
     # core value 2.0, eps 0.25, task 7, seed 42.
     hand = struct.pack("<BHHHIIQ", 1, 1, 1, 1, 250000, 7, 42) + struct.pack("<d", 2.0)
     hand += struct.pack("<I", zlib.crc32(hand))
-    cs = synthetic_state(np.array([[[2.0]]]), 0.25)
+    cs = synthetic_state(np.array([[[2.0]]]))
     assert encode(cs, task_id=7, seed=42, eps_rel=0.25) == hand
 
 
 def test_round_trip_bit_exact_on_random_states():
     rng = np.random.default_rng(0)
     for i in range(100):
-        cs = state_with_ranks(rng, eps=float(rng.uniform(0.05, 0.9)))
+        eps = float(rng.uniform(0.05, 0.9))
+        cs = state_with_ranks(rng, eps=eps)
         task_id = int(rng.integers(0, 2**32))
         seed = int(rng.integers(0, 2**63))
-        eps = cs.maskset.eps_rel
         data = encode(cs, task_id, seed, eps)
-        r1, r2, r3 = cs.maskset.ranks
+        r1, r2, r3 = cs.ranks
         assert len(data) == 27 + 8 * r1 * r2 * r3
         dq = decode(data)
-        assert dq.ranks == cs.maskset.ranks
+        assert dq.ranks == cs.ranks
         assert dq.task_id == task_id
         assert dq.seed == seed
         assert dq.core.tobytes() == np.ascontiguousarray(cs.masked_core).tobytes()
@@ -80,7 +78,7 @@ def test_encode_deterministic():
 
 
 def test_eps_fixed_point_quantization():
-    cs = synthetic_state(np.array([[[0.0]]]), 0.5)
+    cs = synthetic_state(np.array([[[0.0]]]))
     dq = decode(encode(cs, 0, 0, 0.123456789))
     assert dq.eps_rel == pytest.approx(0.123457, abs=1e-12)
 
@@ -141,13 +139,13 @@ def test_nonfinite_payload_rejected():
 def test_capacity_error_on_oversized_rank():
     core = np.zeros((70000, 1, 1))
     dummies = (np.zeros((1, 1)),) * 3  # encode reads only ranks and core
-    cs = synthetic_state(core, 0.5, factors=dummies)
+    cs = synthetic_state(core, factors=dummies)
     with pytest.raises(CapacityError):
         encode(cs, 0, 0, 0.5)
 
 
 def test_capacity_error_on_metadata():
-    cs = synthetic_state(np.array([[[0.0]]]), 0.5)
+    cs = synthetic_state(np.array([[[0.0]]]))
     with pytest.raises(CapacityError):
         encode(cs, 2**32, 0, 0.5)
     with pytest.raises(CapacityError):

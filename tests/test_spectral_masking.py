@@ -16,7 +16,7 @@ from cqd.spectral_masking import (
     masked_tensor,
     spectral_mask,
 )
-from cqd.tensor_core import _multi_mult, hosvd, mode_n_product, tail_energy
+from cqd.tensor_core import _mode_mult, _multi_mult, hosvd, tail_energy
 
 
 def low_rank_with_gap(rng, shape=(6, 6, 6), ranks=(2, 2, 2)):
@@ -76,8 +76,8 @@ def test_asm_recovers_exact_low_rank_with_gap():
     rng = np.random.default_rng(1)
     x = low_rank_with_gap(rng)
     cs = asm_compress(x, 0.05)
-    assert cs.maskset.ranks == (2, 2, 2)
-    assert budget(cs.maskset.ranks) == 8
+    assert cs.ranks == (2, 2, 2)
+    assert budget(cs.ranks) == 8
     assert np.linalg.norm(masked_tensor(cs) - x) <= 1e-9
     assert cs.masked_core.shape == (2, 2, 2)
 
@@ -88,13 +88,13 @@ def test_asm_tiny_eps_keeps_everything():
     f = hosvd(x)
     min_ratio = min(s[-1] / s[0] for s in f.svals)
     cs = asm_compress(x, min_ratio / 2)
-    assert cs.maskset.ranks == (4, 5, 6)
+    assert cs.ranks == (4, 5, 6)
     assert np.linalg.norm(masked_tensor(cs) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_asm_zero_tensor():
     cs = asm_compress(np.zeros((3, 3, 3)), 0.2)
-    assert cs.maskset.ranks == (0, 0, 0)
+    assert cs.ranks == (0, 0, 0)
     assert cs.masked_core.shape == (0, 0, 0)
     assert np.all(masked_tensor(cs) == 0.0)
 
@@ -109,7 +109,7 @@ def test_asm_matches_literal_projector_form():
         u, s = f.factors[mode], f.svals[mode]
         m = np.zeros(u.shape[1])
         m[: s.size] = spectral_mask(s, eps)
-        expected = mode_n_product(expected, (u * m) @ u.T, mode)
+        expected = _mode_mult(expected, (u * m) @ u.T, mode)
     assert np.max(np.abs(masked_tensor(asm_compress(x, eps)) - expected)) < 1e-12
 
 
@@ -119,7 +119,7 @@ def test_asm_reconstruction_through_retained_factors():
     cs = asm_compress(x, 0.4)
     rebuilt = cs.masked_core
     for mode, u in enumerate(cs.masked_factors):
-        rebuilt = mode_n_product(rebuilt, u, mode)
+        rebuilt = _mode_mult(rebuilt, u, mode)
     assert np.linalg.norm(rebuilt - masked_tensor(cs)) <= 1e-10
 
 
@@ -146,7 +146,7 @@ def test_asm_rank_monotone_in_eps():
     f = hosvd(x)
     prev = None
     for eps in np.linspace(0.05, 0.95, 15):
-        ranks = mask_factorization(f, float(eps)).maskset.ranks
+        ranks = mask_factorization(f, float(eps)).ranks
         if prev is not None:
             assert all(r <= p for r, p in zip(ranks, prev))
         prev = ranks
@@ -159,7 +159,7 @@ def test_asm_distortion_bounded_by_tail_energy():
         f = hosvd(x)
         cs = mask_factorization(f, float(rng.uniform(0.1, 0.9)))
         resid = np.sum((x - masked_tensor(cs)) ** 2)
-        assert resid <= tail_energy(f, cs.maskset.ranks) + 1e-9
+        assert resid <= tail_energy(f, cs.ranks) + 1e-9
 
 
 def test_budget_arithmetic():
@@ -189,7 +189,7 @@ def test_controller_reaches_feasible_budget():
     tau = 8
     reached = None
     for step in range(200):
-        achieved = budget(mask_factorization(f, eps).maskset.ranks)
+        achieved = budget(mask_factorization(f, eps).ranks)
         if achieved <= tau:
             reached = step
             break
@@ -202,7 +202,7 @@ def test_compress_within_budget_enforces_tau():
     for seed in range(5):
         f = hosvd(np.random.default_rng(seed).standard_normal((6, 6, 6)))
         cs, eps = compress_within_budget(f, 1e-4, tau=10)
-        assert budget(cs.maskset.ranks) <= 10
+        assert budget(cs.ranks) <= 10
         assert EPS_MIN <= eps <= EPS_MAX
     # already feasible input is returned unchanged
     f = hosvd(rng.standard_normal((3, 3, 3)))

@@ -5,16 +5,16 @@ import pytest
 
 from cqd.tensor_core import (
     HosvdFactorization,
+    _mode_mult,
     _multi_mult,
+    _unfold,
+    as_matrix,
     as_tensor3,
-    fold,
     hosvd,
-    mode_n_product,
     reconstruct,
     tail_energy,
     thin_hosvd,
     truncated_reconstruct,
-    unfold,
 )
 
 
@@ -44,7 +44,7 @@ def random_low_rank(rng, shape, ranks) -> np.ndarray:
 
 def test_unfold_singleton():
     x = np.array([[[5.0]]])
-    assert unfold(x, 0).tolist() == [[5.0]]
+    assert _unfold(x, 0).tolist() == [[5.0]]
 
 
 def test_unfold_2x2x2_matches_hand_enumeration():
@@ -53,10 +53,10 @@ def test_unfold_2x2x2_matches_hand_enumeration():
         for j in range(2):
             for k in range(2):
                 x[i, j, k] = 4 * i + 2 * j + k
-    m = unfold(x, 0)
+    m = _unfold(x, 0)
     assert m.tolist() == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]
     for mode in range(3):
-        assert np.array_equal(unfold(x, mode), unfold_by_hand(x, mode))
+        assert np.array_equal(_unfold(x, mode), unfold_by_hand(x, mode))
 
 
 def test_unfold_hand_oracle_random_shapes():
@@ -64,37 +64,7 @@ def test_unfold_hand_oracle_random_shapes():
     for shape in [(3, 4, 5), (2, 1, 6), (1, 1, 1)]:
         x = rng.standard_normal(shape)
         for mode in range(3):
-            assert np.array_equal(unfold(x, mode), unfold_by_hand(x, mode))
-
-
-def test_unfold_invalid_mode():
-    with pytest.raises(ValueError):
-        unfold(np.zeros((2, 2, 2)), 3)
-
-
-def test_fold_singleton():
-    assert fold(np.array([[7.0]]), 1, (1, 1, 1)).tolist() == [[[7.0]]]
-
-
-def test_fold_unfold_round_trip_exact():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 4, 5))
-    for mode in range(3):
-        assert np.array_equal(fold(unfold(x, mode), mode, x.shape), x)
-
-
-def test_fold_of_hand_example():
-    m = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
-    x = fold(m, 0, (2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                assert x[i, j, k] == 4 * i + 2 * j + k
-
-
-def test_fold_shape_mismatch():
-    with pytest.raises(ValueError):
-        fold(np.zeros((2, 5)), 0, (2, 2, 2))
+            assert np.array_equal(_unfold(x, mode), unfold_by_hand(x, mode))
 
 
 def test_constructors_reject_nonfinite():
@@ -103,28 +73,23 @@ def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
         as_tensor3(bad)
     with pytest.raises(ValueError):
-        unfold(bad, 0)
+        as_matrix(bad[0])
 
 
 def test_mode_product_identity_and_zero():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 4, 5))
-    assert np.allclose(mode_n_product(x, np.eye(4), 1), x)
-    assert np.all(mode_n_product(x, np.zeros((2, 3)), 0) == 0.0)
+    assert np.allclose(_mode_mult(x, np.eye(4), 1), x)
+    assert np.all(_mode_mult(x, np.zeros((2, 3)), 0) == 0.0)
 
 
 def test_mode_product_matches_matrix_oracle():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 4, 5))
     a = rng.standard_normal((2, 3))
-    y = mode_n_product(x, a, 0)
+    y = _mode_mult(x, a, 0)
     assert y.shape == (2, 4, 5)
-    assert np.max(np.abs(unfold(y, 0) - a @ unfold(x, 0))) < 1e-12
-
-
-def test_mode_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mode_n_product(np.zeros((3, 4, 5)), np.zeros((2, 4)), 0)
+    assert np.max(np.abs(_unfold(y, 0) - a @ _unfold(x, 0))) < 1e-12
 
 
 def test_mode_product_commutes_across_distinct_modes():
@@ -132,8 +97,8 @@ def test_mode_product_commutes_across_distinct_modes():
     x = rng.standard_normal((3, 4, 5))
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((2, 4))
-    left = mode_n_product(mode_n_product(x, a, 0), b, 1)
-    right = mode_n_product(mode_n_product(x, b, 1), a, 0)
+    left = _mode_mult(_mode_mult(x, a, 0), b, 1)
+    right = _mode_mult(_mode_mult(x, b, 1), a, 0)
     assert np.max(np.abs(left - right)) < 1e-12
 
 
@@ -231,7 +196,7 @@ def test_truncated_reconstruct_matches_projector_form():
     expected = x
     for mode in range(3):
         u = f.factors[mode][:, : ranks[mode]]
-        expected = mode_n_product(expected, u @ u.T, mode)
+        expected = _mode_mult(expected, u @ u.T, mode)
     assert np.max(np.abs(truncated_reconstruct(f, ranks) - expected)) < 1e-12
 
 
