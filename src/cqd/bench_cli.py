@@ -57,6 +57,11 @@ class ExperimentConfig:
             raise ValueError("shape entries must be positive")
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
+        if not self.m_values or min(self.m_values) < 1:
+            raise ValueError("m list must be non-empty and every m at least 1")
+        for name in ("iters", "grid_points", "trials", "n_projectors", "n_instances"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -406,9 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    opts = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    opts = vars(parser.parse_args(argv))
     command, out, fmt = opts.pop("command"), opts.pop("out"), opts.pop("format")
-    report = EXPERIMENTS[command](ExperimentConfig(experiment=command, **opts))
+    try:
+        cfg = ExperimentConfig(experiment=command, **opts)
+    except ValueError as exc:
+        parser.error(f"{command}: {exc}")
+    report = EXPERIMENTS[command](cfg)
     if out:
         emit_report(report, out, fmt)
     for flag, value in report.passed.items():

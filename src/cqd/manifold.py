@@ -8,8 +8,8 @@ import numpy as np
 from .tensor_core import (
     MODES,
     Ranks3,
+    _hosvd_kernel,
     _mode_mult,
-    _mode_svd,
     _multi_mult,
     _unfold,
     as_matrix,
@@ -139,23 +139,14 @@ def tucker_to_tensor(p: TuckerPoint) -> np.ndarray:
 
 
 def _truncation(x: np.ndarray, ranks: Ranks3) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Truncated HOSVD of x: core and factor matrices, signs left as computed."""
-    factors = []
-    core = x
-    for mode in MODES:
-        r = int(ranks[mode])
-        if not 1 <= r <= x.shape[mode]:
-            raise ValueError(f"rank {r} out of range [1, {x.shape[mode]}] for mode {mode}")
-        # Factor signs cancel between core and factor, so no sign convention
-        # is needed for the represented tensor.
-        u, s = _mode_svd(x, mode, fix_signs=False)
-        if r > s.size or s[r - 1] <= SINGULARITY_TOL:
-            raise RankDeficiencyError(
-                f"mode-{mode} singular value at position {r} is below 1e-12"
-            )
-        u = u[:, :r]
-        factors.append(u)
-        core = _mode_mult(core, u.T, mode)
+    """Truncated HOSVD of x; the factor signs, left as computed, cancel against the core's."""
+    for mode, (r, dim) in enumerate(zip(ranks, x.shape)):
+        if not 1 <= r <= dim:
+            raise ValueError(f"rank {r} out of range [1, {dim}] for mode {mode}")
+    core, factors, svals = _hosvd_kernel(x, ranks)
+    for mode, (r, s) in enumerate(zip(ranks, svals)):
+        if s[r - 1] <= SINGULARITY_TOL:
+            raise RankDeficiencyError(f"mode-{mode} singular value at position {r} is below 1e-12")
     return core, factors
 
 

@@ -103,20 +103,18 @@ def adapt_epsilon(eps_rel: float, achieved_budget: int, tau: int) -> float:
 
 
 def compress_within_budget(
-    f: HosvdFactorization, eps_rel: float, tau: int, max_steps: int = 200
+    f: HosvdFactorization, eps_rel: float, tau: int
 ) -> tuple[CompressedState, float]:
     """Raise eps until the rank product fits the budget cap tau.
 
     Returns the accepted compression and the eps that produced it. For
-    tau >= 1 and a nonzero tensor a feasible eps always exists because
-    EPS_MAX keeps at most the leading direction per mode; max_steps only
-    guards the degenerate tie case of exactly equal singular values.
+    tau >= 1 and a nonzero tensor EPS_MAX keeps only the leading direction
+    per mode unless others lie within 0.1 % of it; the loop ends when the
+    budget fits or eps is clamped at EPS_MAX, at most 145 steps of
+    EPS_INCREASE from EPS_MIN.
     """
     cs = mask_factorization(f, eps_rel)
-    for _ in range(max_steps):
-        achieved = budget(cs.ranks)
-        if achieved <= tau:
-            break
+    while (achieved := budget(cs.ranks)) > tau:
         bumped = adapt_epsilon(eps_rel, achieved, tau)
         if bumped == eps_rel:  # clamped at EPS_MAX, nothing left to cut
             break

@@ -56,10 +56,10 @@ def _mode_mult(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     return (x.reshape(i * j, k) @ a.T).reshape(i, j, a.shape[0])
 
 
-def _multi_mult(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
+def _multi_mult(x: np.ndarray, mats) -> np.ndarray:
     out = x
     for mode, a in enumerate(mats):
-        out = _mode_mult(out, a.T if transpose else a, mode)
+        out = _mode_mult(out, a, mode)
     return out
 
 
@@ -94,21 +94,22 @@ def _signs(u: np.ndarray) -> np.ndarray:
     return np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    return u * _signs(u)
-
-
-def _mode_svd(x: np.ndarray, mode: int, fix_signs: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors (square) and svals of one unfolding."""
-    xn = _unfold(x, mode)
-    # full_matrices only matters when rows exceed columns; avoid the big V'.
-    u, s, _ = np.linalg.svd(xn, full_matrices=xn.shape[0] > xn.shape[1])
-    return (_fix_signs(u) if fix_signs else u), s
-
-
-def _padded(s: np.ndarray, n: int) -> np.ndarray:
-    # An unfolding with fewer columns than rows has n - s.size zero svals.
-    return s if s.size == n else np.concatenate([s, np.zeros(n - s.size)])
+def _hosvd_kernel(x: np.ndarray, ranks) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Truncated HOSVD of x with LAPACK's signs: (core, leading left singular vectors, svals)."""
+    core = x
+    ws = []
+    svals = []
+    for mode in MODES:
+        xn = _unfold(x, mode)
+        # full_matrices only matters when rows exceed columns; avoid the big V'.
+        u, s, _ = np.linalg.svd(xn, full_matrices=xn.shape[0] > xn.shape[1])
+        w = u[:, : ranks[mode]]
+        core = _mode_mult(core, w.T, mode)
+        ws.append(w)
+        # An unfolding with fewer columns than rows has rows - cols zero svals.
+        pad = u.shape[0] - s.size
+        svals.append(np.concatenate([s, np.zeros(pad)]) if pad else s)
+    return core, ws, svals
 
 
 def hosvd(x) -> HosvdFactorization:
@@ -118,14 +119,7 @@ def hosvd(x) -> HosvdFactorization:
     factor columns follow the nonnegative-largest-entry sign convention.
     """
     x = as_tensor3(x)
-    factors = []
-    svals = []
-    for mode in MODES:
-        u, s = _mode_svd(x, mode)
-        factors.append(u)
-        svals.append(_padded(s, u.shape[1]))
-    core = _multi_mult(x, factors, transpose=True)
-    return HosvdFactorization(core=core, factors=tuple(factors), svals=tuple(svals))
+    return thin_hosvd(x, tuple(np.eye(n) for n in x.shape))
 
 
 def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
@@ -134,23 +128,17 @@ def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
     The U_n must have orthonormal columns.  The mode-n unfolding of the
     tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with G_(n) = W_n S_n V_n^T
     its left singular vectors are U_n W_n and its nonzero singular values
-    are S_n.  Factor n is therefore the I_n x r_n matrix U_n W_n, under the
-    sign convention of :func:`hosvd`, and the r1 x r2 x r3 core is G
-    contracted by the W_n; no tensor of the ambient shape is formed.
+    are S_n.  Factor n is therefore the I_n x r_n matrix U_n W_n, each column
+    signed so its largest-magnitude entry is nonnegative, and the core is G
+    contracted by the equally signed W_n; no tensor of the ambient shape is formed.
     """
-    ws = []
-    out_factors = []
-    svals = []
-    for mode in MODES:
-        w, s = _mode_svd(core, mode, fix_signs=False)  # w is square
-        uw = factors[mode] @ w
-        signs = _signs(uw)
-        ws.append(w * signs)
-        out_factors.append(uw * signs)
-        svals.append(_padded(s, core.shape[mode]))
+    g, ws, svals = _hosvd_kernel(core, core.shape)
+    uws = [u @ w for u, w in zip(factors, ws)]
+    s1, s2, s3 = (_signs(uw) for uw in uws)
+    # Flipping a column's sign is exact, in the factor and in the core.
     return HosvdFactorization(
-        core=_multi_mult(core, ws, transpose=True),
-        factors=tuple(out_factors),
+        core=g * s1[:, None, None] * s2[:, None] * s3,
+        factors=(uws[0] * s1, uws[1] * s2, uws[2] * s3),
         svals=tuple(svals),
     )
 

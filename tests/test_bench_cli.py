@@ -57,6 +57,35 @@ def test_config_validation():
         ExperimentConfig(experiment="x", shape=(0, 2, 2))
 
 
+# A count below 1 leaves an experiment nothing to check, so its report would
+# read PASS on no rows; such a config is refused when it is built.
+@pytest.mark.parametrize("field, value", [
+    ("iters", 0), ("grid_points", 0), ("trials", 0), ("n_projectors", 0),
+    ("n_instances", 0), ("m_values", ()), ("m_values", (1, 0)), ("iters", -1),
+])
+def test_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match="at least 1|non-empty"):
+        ExperimentConfig(experiment="x", **{field: value})
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--seed-list", ""],
+    ["tailbound", "--shape", "0,2,2"],
+    ["ratedist", "--grid-points", "0"],
+    ["tailbound", "--instances", "0"],
+    ["ensemble", "--m-list", ""],
+    ["projopt", "--projectors", "0"],
+    ["converge", "--iters", "0"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cqd-bench")
+    assert f"error: {argv[0]}: " in err
+
+
 def test_projector_optimality_experiment():
     cfg = ExperimentConfig(
         experiment="projopt", shape=(6, 8), ranks=(2,), seeds=(0, 1, 2), n_projectors=100

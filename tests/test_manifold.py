@@ -219,7 +219,7 @@ def test_tucker_retract_rank_collapse_raises():
     # X itself is tangent at X (core direction = core), so a unit step along
     # -X lands exactly on the zero tensor.
     toward_zero = riemannian_grad_tucker(p, x)
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError, match="mode-0 singular value at position 2 "):
         tucker_retract(p, toward_zero.scaled(-1.0), 1.0)
 
 
@@ -233,6 +233,24 @@ def test_tucker_from_tensor_recovers_exact_rank():
         tucker_from_tensor(x, (3, 4, 3))  # exact rank (2,3,2) cannot support more
     with pytest.raises(ValueError):
         tucker_from_tensor(x, (0, 2, 2))
+
+
+def test_tucker_from_tensor_rejects_rank_above_dimension():
+    x = np.random.default_rng(24).standard_normal((5, 6, 7))
+    with pytest.raises(ValueError, match=r"rank 8 out of range \[1, 7\] for mode 2"):
+        tucker_from_tensor(x, (2, 2, 8))
+    # The range is checked for every mode before any SVD runs.
+    with pytest.raises(ValueError, match="mode 1"):
+        tucker_from_tensor(np.zeros((5, 6, 7)), (2, 7, 2))
+
+
+def test_tucker_from_tensor_collapse_names_mode_and_position():
+    rng = np.random.default_rng(25)
+    x = tucker_to_tensor(random_tucker_point(rng, ranks=(2, 3, 2)))
+    with pytest.raises(RankDeficiencyError, match="mode-1 singular value at position 4 "):
+        tucker_from_tensor(x, (2, 4, 2))
+    with pytest.raises(RankDeficiencyError, match="mode-0 singular value at position 1 "):
+        tucker_from_tensor(np.zeros((3, 3, 3)), (1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

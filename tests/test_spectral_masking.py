@@ -208,3 +208,14 @@ def test_compress_within_budget_enforces_tau():
     f = hosvd(rng.standard_normal((3, 3, 3)))
     cs, eps = compress_within_budget(f, 0.9, tau=27)
     assert eps == 0.9
+
+
+def test_compress_within_budget_stops_at_eps_max_on_tied_spectrum():
+    # The superdiagonal tensor: every unfolding has three equal singular
+    # values, so no eps keeps fewer than all of them and tau=1 is out of reach.
+    x = np.zeros((3, 3, 3))
+    x[np.arange(3), np.arange(3), np.arange(3)] = 1.0
+    f = hosvd(x)
+    cs, eps = compress_within_budget(f, EPS_MIN, tau=1)
+    assert eps == EPS_MAX
+    assert cs.ranks == (3, 3, 3)
