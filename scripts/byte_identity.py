@@ -13,7 +13,8 @@ Each line is the first 16 hex digits of a sha256 and the output's name:
   with the mean and with the median);
 - the 6^3, sigma=0, constant eta=3, 2000-iteration diverging run;
 - ``hosvd`` on random, thin (5x1x2), rank-one and all-zero tensors, and
-  ``thin_hosvd``, ``tucker_from_tensor`` and ``tucker_retract`` on seeded inputs;
+  ``thin_hosvd``, ``tucker_from_tensor`` and ``tucker_retract`` on seeded inputs
+  (the retraction from the HOSVD gauge, along the projection of a random tensor);
 - the file bytes of acceptance criterion 10's five CSV and five JSON reports;
 - with ``--cli``, ``python -m cqd.bench_cli <experiment> --out`` for all five
   experiments at default flags (about 1.5 minutes on one core).
@@ -68,7 +69,8 @@ def main() -> None:
     import cqd
     from cqd import bench_cli
     from cqd.manifold import (
-        gen_synthetic, riemannian_grad_tucker, tucker_from_tensor, tucker_retract,
+        StiefelPoint, TuckerPoint, gen_synthetic, riemannian_grad_tucker, tucker_from_tensor,
+        tucker_retract,
     )
     from cqd.tensor_core import hosvd, thin_hosvd
 
@@ -106,11 +108,12 @@ def main() -> None:
     for seed in range(3):
         instance, _ = gen_synthetic((8, 7, 6), (3, 2, 2), 0.0, seed)
         p = tucker_from_tensor(instance, (3, 2, 2))
-        digest(f"thin_hosvd/seed{seed}",
-               *factorization_bytes(thin_hosvd(p.core, tuple(f.u for f in p.factors))))
+        h = thin_hosvd(p.core, tuple(f.u for f in p.factors))
+        digest(f"thin_hosvd/seed{seed}", *factorization_bytes(h))
         digest(f"tucker_from_tensor/seed{seed}", *point_bytes(p))
-        t = riemannian_grad_tucker(p, rng.standard_normal((8, 7, 6)))
-        digest(f"tucker_retract/seed{seed}", *point_bytes(tucker_retract(p, t, 0.3)))
+        gauged = TuckerPoint(h.core, tuple(StiefelPoint(u) for u in h.factors))
+        t = riemannian_grad_tucker(h, rng.standard_normal((8, 7, 6)))
+        digest(f"tucker_retract/seed{seed}", *point_bytes(tucker_retract(gauged, t, 0.3)))
 
     # Acceptance criterion 10's configurations.
     cfg = bench_cli.ExperimentConfig

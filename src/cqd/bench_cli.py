@@ -62,6 +62,18 @@ class ExperimentConfig:
         for name in ("iters", "grid_points", "trials", "n_projectors", "n_instances"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.tau < 1:
+            raise ValueError(f"tau must be at least 1, got {self.tau}")
+        if self.experiment == "projopt":
+            if len(self.shape) != 2:
+                raise ValueError("projector experiment expects a matrix shape (m, n)")
+            if not self.ranks or not 1 <= self.ranks[0] <= self.shape[0]:
+                raise ValueError(f"projector rank must lie in [1, {self.shape[0]}], got {self.ranks}")
+        elif self.experiment in ("converge", "ratedist", "ensemble"):
+            if len(self.shape) != 3 or len(self.ranks) != 3:
+                raise ValueError(f"{self.experiment} expects three shape entries and three ranks")
+            if any(not 1 <= r <= d for r, d in zip(self.ranks, self.shape)):
+                raise ValueError(f"ranks {self.ranks} invalid for shape {self.shape}")
 
 
 @dataclass
@@ -104,8 +116,6 @@ def _finish(report: Report) -> Report:
 
 def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
     """Top-r singular projector beats random rank-r projectors on every draw."""
-    if len(cfg.shape) != 2:
-        raise ValueError("projector experiment expects a matrix shape (m, n)")
     m_dim, n_dim = cfg.shape
     r = int(cfg.ranks[0])
     columns = ("seed", "optimal_residual_sq", "best_random_residual_sq", "violations")

@@ -7,10 +7,12 @@ import numpy as np
 
 from .tensor_core import (
     MODES,
+    HosvdFactorization,
     Ranks3,
     _hosvd_kernel,
     _mode_mult,
     _multi_mult,
+    _trusted,
     _unfold,
     as_matrix,
     as_tensor3,
@@ -156,35 +158,76 @@ def tucker_from_tensor(x, ranks) -> TuckerPoint:
     return TuckerPoint(core=core, factors=tuple(StiefelPoint(u) for u in factors))
 
 
-def riemannian_grad_tucker(p: TuckerPoint, euclid_grad) -> TuckerTangent:
-    """Project an ambient gradient onto the tangent space at `p`.
+def _hosvd_point(h: HosvdFactorization) -> TuckerPoint:
+    """The Tucker point with the core and factors of `h`, from :func:`thin_hosvd`.
 
-    The horizontal representation is (core direction, factor directions)
-    with each factor direction orthogonal to the current factor columns;
-    the factor normal equations use the core Gram matrices, so the core
-    unfoldings must have full row rank.
+    Built without re-checking: the kernel gives orthonormal factor columns,
+    one per core index.
     """
-    z = as_tensor3(euclid_grad)
-    if z.shape != p.shape:
-        raise ValueError(f"gradient shape {z.shape} does not match point shape {p.shape}")
-    us = tuple(f.u for f in p.factors)
-    # Shared partial contractions: each mode needs z contracted by the other
-    # two factors, and the core direction contracts all three.
-    z1 = _mode_mult(z, us[0].T, 0)
-    partials = (
-        _mode_mult(_mode_mult(z, us[1].T, 1), us[2].T, 2),
-        _mode_mult(z1, us[2].T, 2),
-        _mode_mult(z1, us[1].T, 1),
+    return _trusted(
+        TuckerPoint,
+        core=h.core,
+        factors=tuple(_trusted(StiefelPoint, u=u) for u in h.factors),
     )
-    core_dir = _mode_mult(partials[0], us[0].T, 0)
+
+
+def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
+    """Project ambient gradients onto the tangent space at the HOSVD point `h`.
+
+    `h` is the point in the gauge of its HOSVD, as :func:`thin_hosvd`
+    returns it: the core is all-orthogonal, G_(n) G_(n)^T = diag(s_n^2)
+    (De Lathauwer, De Moor & Vandewalle, SIMAX 2000), so the normal
+    equations of the factor directions are a column scaling by 1/s_n^2.
+    The horizontal representation is (core direction, factor directions),
+    each factor direction orthogonal to the factor's columns, and refers to
+    the Tucker point with h's core and factors.
+
+    `euclid_grad` has the point's shape, or a leading axis stacking several
+    gradients; then the result is a tuple of tangents, one per slice, from
+    one pass of contractions.  Raises RankDeficiencyError when a mode's
+    last singular value s_n[r_n - 1] is at or below 1e-12.
+    """
+    us = h.factors
+    g = h.core
+    shape = tuple(u.shape[0] for u in us)
+    z = np.ascontiguousarray(euclid_grad, dtype=np.float64)
+    if z.ndim not in (3, 4) or z.shape[-3:] != shape:
+        raise ValueError(f"gradient shape {z.shape} does not match point shape {shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("gradient entries must be finite")
+    for mode, s in enumerate(h.svals):
+        if s.size == 0 or s[-1] <= SINGULARITY_TOL:
+            raise RankDeficiencyError(
+                f"mode-{mode} singular value at position {s.size} is below 1e-12"
+            )
+    stacked = z.ndim == 4
+    zs = z if stacked else z[None]
+    b = zs.shape[0]
+    (n1, n2, n3), (r1, r2, r3) = shape, g.shape
+    # Shared partial contractions, the stack folded into the first axis
+    # where mode 0 is not contracted: each mode needs z contracted by the
+    # other two factors, and the core direction contracts all three.
+    z1 = np.matmul(us[0].T, zs.reshape(b, n1, n2 * n3)).reshape(b * r1, n2, n3)
+    p0 = _mode_mult(_mode_mult(zs.reshape(b * n1, n2, n3), us[1].T, 1), us[2].T, 2)
+    p1 = _mode_mult(z1, us[2].T, 2)
+    p2 = _mode_mult(z1, us[1].T, 1)
+    core_dir = np.matmul(us[0].T, p0.reshape(b, n1, r2 * r3)).reshape(b, r1, r2, r3)
+    # Mode-n unfoldings of the partials, one per slice.
+    unfolded = (
+        p0.reshape(b, n1, r2 * r3),
+        p1.reshape(b, r1, n2, r3).transpose(0, 2, 1, 3).reshape(b, n2, r1 * r3),
+        p2.reshape(b, r1, r2, n3).transpose(0, 3, 1, 2).reshape(b, n3, r1 * r2),
+    )
     factor_dirs = []
     for mode in MODES:
-        b = _unfold(partials[mode], mode)
-        g_n = _unfold(p.core, mode)
-        w = b @ g_n.T
-        coeff = np.linalg.solve(g_n @ g_n.T, w.T).T
-        factor_dirs.append(coeff - us[mode] @ (us[mode].T @ coeff))
-    return TuckerTangent(core_dir=core_dir, factor_dirs=tuple(factor_dirs))
+        u, s = us[mode], h.svals[mode]
+        coeff = (unfolded[mode] @ _unfold(g, mode).T) / (s * s)
+        factor_dirs.append(coeff - u @ (u.T @ coeff))
+    tangents = tuple(
+        TuckerTangent(core_dir=core_dir[i], factor_dirs=tuple(d[i] for d in factor_dirs))
+        for i in range(b)
+    )
+    return tangents if stacked else tangents[0]
 
 
 def tangent_to_ambient(p: TuckerPoint, t: TuckerTangent) -> np.ndarray:
@@ -197,16 +240,17 @@ def tangent_to_ambient(p: TuckerPoint, t: TuckerTangent) -> np.ndarray:
     return out
 
 
-def tangent_norm_sq(p: TuckerPoint, t: TuckerTangent) -> float:
-    """Squared norm of a gauge-fixed tangent vector.
+def tangent_norm_sq(h: HosvdFactorization, t: TuckerTangent) -> float:
+    """Squared norm of a tangent vector at the HOSVD point `h`.
 
     The core component and the three factor components are mutually
     orthogonal in the ambient embedding, so the norm splits into
-    ||dG||^2 + sum_n ||dU_n G_(n)||^2.
+    ||dG||^2 + sum_n ||dU_n G_(n)||^2, and in the HOSVD gauge
+    ||dU_n G_(n)||^2 = ||dU_n diag(s_n)||^2.
     """
     total = float(np.sum(t.core_dir**2))
-    for mode in MODES:
-        total += float(np.sum((t.factor_dirs[mode] @ _unfold(p.core, mode)) ** 2))
+    for d, s in zip(t.factor_dirs, h.svals):
+        total += float(np.sum((d * s) ** 2))
     return total
 
 
@@ -247,6 +291,9 @@ def tucker_retract(p: TuckerPoint, direction: TuckerTangent, eta: float) -> Tuck
         qs.append(q)
         c = _mode_mult(c, r, mode)
     core, ws = _truncation(c, p.ranks)
-    return TuckerPoint(
-        core=core, factors=tuple(StiefelPoint(q @ w) for q, w in zip(qs, ws))
+    # Q_n W_n has orthonormal columns, one per core index: no re-check.
+    return _trusted(
+        TuckerPoint,
+        core=core,
+        factors=tuple(_trusted(StiefelPoint, u=q @ w) for q, w in zip(qs, ws)),
     )

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
@@ -10,6 +12,7 @@ import numpy as np
 from .manifold import (
     RankDeficiencyError,
     TuckerPoint,
+    _hosvd_point,
     riemannian_grad_tucker,
     tangent_norm_sq,
     tucker_retract,
@@ -76,17 +79,72 @@ class TraceRow:
     eps: float
 
 
+# TraceRow fields kept one value per row, then the ranks, three per row.
+_SCALARS = ("loss", "grad_norm_sq", "budget", "eta", "eps")
+
+
+class _TraceRows(Sequence):
+    """A run's TraceRows, kept as compact columns.
+
+    One array per field, of doubles or of 64-bit ints: 64 bytes an
+    iteration, not a TraceRow object's ~300.  Row i is built on access, with
+    Python floats, ints and a rank tuple, and has k = i.
+    """
+
+    def __init__(self):
+        self._cols = {name: array("q" if name == "budget" else "d") for name in _SCALARS}
+        self._ranks = array("q")
+
+    def __len__(self) -> int:
+        return len(self._cols["loss"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return TraceRow(
+            k=i,
+            ranks=tuple(self._ranks[3 * i : 3 * i + 3]),
+            **{name: col[i] for name, col in self._cols.items()},
+        )
+
+    def append(self, row: TraceRow) -> None:
+        if row.k != len(self):
+            raise ValueError(f"row {len(self)} must have k={len(self)}, got k={row.k}")
+        for name, col in self._cols.items():
+            col.append(getattr(row, name))
+        self._ranks.extend(row.ranks)
+
+    def __setitem__(self, i: int, row: TraceRow) -> None:
+        i = range(len(self))[i]
+        if row.k != i:
+            raise ValueError(f"row {i} must have k={i}, got k={row.k}")
+        for name, col in self._cols.items():
+            col[i] = getattr(row, name)
+        self._ranks[3 * i : 3 * i + 3] = array("q", row.ranks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _TraceRows):
+            return self._cols == other._cols and self._ranks == other._ranks
+        return isinstance(other, (list, tuple)) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class RunTrace:
     """Per-iteration diagnostics; `error` is set when a run aborts early."""
 
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: _TraceRows = field(default_factory=_TraceRows)
     error: str | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
+        if name in _SCALARS and len(self):
+            return np.array(self.rows._cols[name])
         return np.array([getattr(row, name) for row in self.rows])
 
 
@@ -107,8 +165,15 @@ def run_cqd(
     the budget cap tau, wire encoding, m oracle draws aggregated by `agg`,
     then a retraction step along the tangent-projected stochastic gradient.
     Returns the final point and the full per-iteration trace; a run that
-    stops early returns its last point with a finite loss and sets
+    stops early returns the point it entered its last iteration with (or
+    the one before, if that iteration's loss was not finite) and sets
     `trace.error`. Arguments are checked here, before any oracle call.
+
+    Each iteration works in the gauge of the iterate's HOSVD, which the
+    mask needs anyway: its singular values turn the tangent projection's
+    normal equations into a diagonal scaling, and one projection pass
+    serves the true residual (the trace's gradient norm) and the
+    stochastic residual (the step).
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -120,6 +185,8 @@ def run_cqd(
         raise ValueError(f"x0 shape {x0.shape} does not match target shape {task.target.shape}")
     oracle = SimulatedOracle(oracle_cfg, task.target)
     trace = RunTrace()
+    # The true and the stochastic residual, written in place each iteration.
+    residuals = np.empty((2, *x0.shape))
     x = good = x0
     eps = eps0
     for k in range(iters):
@@ -129,26 +196,28 @@ def run_cqd(
             # Diagnostics use the true objective against the hidden target.
             # A diverging iterate overflows here; the finite check reports it.
             with np.errstate(over="ignore"):
-                residual = ambient - task.target
+                residual = np.subtract(ambient, task.target, out=residuals[0])
                 loss = 0.5 * float(np.sum(residual**2))
             if not math.isfinite(loss):
                 trace.error = f"loss at k={k}: non-finite loss {loss}"
                 return good, trace
             good = x
             stage = "mask"
-            cs, eps = compress_within_budget(
-                thin_hosvd(x.core, tuple(f.u for f in x.factors)), eps, task.tau
-            )
+            h = thin_hosvd(x.core, tuple(f.u for f in x.factors))
+            cs, eps = compress_within_budget(h, eps, task.tau)
             achieved = budget(cs.ranks)
             stage = "oracle"
             query = encode(cs, task.task_id, oracle_cfg.seed, eps)
             response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
             eta = step_size(k, schedule)
 
-            stage = "diagnostics"
-            true_grad = riemannian_grad_tucker(x, residual)
+            stage = "project"
+            # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's
+            # answer R is X - R; its negative is the step direction.
+            np.subtract(response.payload, ambient, out=residuals[1])
+            true_grad, step_dir = riemannian_grad_tucker(h, residuals)
             with np.errstate(over="ignore"):  # reads inf; the next loss check stops the run
-                grad_norm_sq = tangent_norm_sq(x, true_grad)
+                grad_norm_sq = tangent_norm_sq(h, true_grad)
             trace.rows.append(
                 TraceRow(
                     k=k,
@@ -163,11 +232,8 @@ def run_cqd(
             if iterate_hook is not None:
                 iterate_hook(k, ambient)
 
-            stage = "step"
-            # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's answer R.
-            step_dir = riemannian_grad_tucker(x, ambient - response.payload)
             stage = "retract"
-            x = tucker_retract(x, step_dir.scaled(-1.0), eta)
+            x = tucker_retract(_hosvd_point(h), step_dir, eta)
         except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
             kind = "rank_deficiency" if isinstance(exc, RankDeficiencyError) else "linalg"
             trace.error = f"{stage} at k={k}: {kind}: {exc}"

@@ -54,14 +54,27 @@ def spectral_mask(svals, eps_rel: float) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if np.any(s < 0) or np.any(np.diff(s) > 0):
         raise ValueError("svals must be nonnegative and sorted descending")
-    if s[0] <= 0.0:
-        return np.zeros(s.size, dtype=bool)
-    return s >= eps_rel * s[0]
+    mask = np.zeros(s.size, dtype=bool)
+    mask[: _kept(s, eps_rel)] = True
+    return mask
+
+
+def _kept(s: np.ndarray, eps_rel: float) -> int:
+    """How many of the sorted svals `s` the mask keeps: the count of s_i >= eps * s_0."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s >= eps_rel * s[0]))
 
 
 def mask_factorization(f: HosvdFactorization, eps_rel: float) -> CompressedState:
-    """Apply spectral masking to an existing factorization."""
-    ranks = tuple(int(np.count_nonzero(spectral_mask(f.svals[mode], eps_rel))) for mode in MODES)
+    """Apply spectral masking to an existing factorization.
+
+    The svals of a HosvdFactorization are sorted and nonnegative (its
+    constructor checks them, or the HOSVD kernel produced them), so they
+    are not checked again here.
+    """
+    eps_rel = _check_eps(eps_rel)
+    ranks = tuple(_kept(s, eps_rel) for s in f.svals)
     core = f.core[: ranks[0], : ranks[1], : ranks[2]]
     factors = tuple(f.factors[mode][:, : ranks[mode]] for mode in MODES)
     return CompressedState(masked_core=core, masked_factors=factors)

@@ -70,8 +70,10 @@ class HosvdFactorization:
     Factor n holds orthonormal left singular vectors of the mode-n
     unfolding, one column per entry of svals[n], which lists the matching
     singular values in non-increasing order; core has one index per factor
-    column.  :func:`hosvd` gives square I_n x I_n factors, :func:`thin_hosvd`
-    one column per rank of a Tucker tensor.
+    column and is all-orthogonal, G_(n) G_(n)^T = diag(svals[n]^2), which
+    the tangent projection at the point relies on.  :func:`hosvd` gives
+    square I_n x I_n factors, :func:`thin_hosvd` one column per rank of a
+    Tucker tensor.
     """
 
     core: np.ndarray
@@ -84,6 +86,27 @@ class HosvdFactorization:
                 raise ValueError(f"factor with {u.shape[1]} columns has {s.size} singular values")
             if s.size and (s[-1] < 0 or np.any(np.diff(s) > 0)):
                 raise ValueError("singular values must be nonnegative and non-increasing")
+        # Scaled by the largest entry, so that no square overflows.
+        peak = float(np.max(np.abs(self.core), initial=0.0)) or 1.0
+        core = self.core / peak
+        tol = 1e-10 * float(np.sum(core**2))
+        for mode, s in enumerate(self.svals):
+            if core.shape[mode] != s.size:
+                raise ValueError(f"core dim {core.shape[mode]} has {s.size} singular values")
+            g = _unfold(core, mode)
+            if np.max(np.abs(g @ g.T - np.diag((s / peak) ** 2)), initial=0.0) > tol:
+                raise ValueError(f"core is not all-orthogonal with these mode-{mode} singular values")
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` built without running its checks.
+
+    For values a kernel of this package has just produced; every public
+    construction still goes through ``__post_init__``.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _signs(u: np.ndarray) -> np.ndarray:
@@ -135,8 +158,11 @@ def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
     g, ws, svals = _hosvd_kernel(core, core.shape)
     uws = [u @ w for u, w in zip(factors, ws)]
     s1, s2, s3 = (_signs(uw) for uw in uws)
-    # Flipping a column's sign is exact, in the factor and in the core.
-    return HosvdFactorization(
+    # Flipping a column's sign is exact, in the factor and in the core.  The
+    # kernel's svals are LAPACK's, non-increasing and nonnegative, one per
+    # factor column, so the factorization is built without re-checking them.
+    return _trusted(
+        HosvdFactorization,
         core=g * s1[:, None, None] * s2[:, None] * s3,
         factors=(uws[0] * s1, uws[1] * s2, uws[2] * s3),
         svals=tuple(svals),

@@ -76,6 +76,9 @@ def test_config_rejects_counts_below_one(field, value):
     ["ensemble", "--m-list", ""],
     ["projopt", "--projectors", "0"],
     ["converge", "--iters", "0"],
+    ["converge", "--tau", "0"],
+    ["converge", "--ranks", "9,2,2"],
+    ["projopt", "--shape", "6,6,6"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

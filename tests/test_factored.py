@@ -24,6 +24,7 @@ from cqd.manifold import (
 )
 from cqd.spectral_masking import mask_factorization
 from cqd.tensor_core import _mode_mult, hosvd, thin_hosvd
+from tests.test_manifold import hosvd_gauge
 
 RTOL = 1e-12
 # Deterministic example sequence, so that a run repeats the same cases.
@@ -157,9 +158,9 @@ def test_mode_mult_matches_einsum(shape, rows, seed):
 @given(case=tucker_cases())
 def test_retract_raises_on_rank_collapse(case):
     shape, ranks, seed = case
-    p = random_point(np.random.default_rng(seed), shape, ranks)
+    p, h = hosvd_gauge(random_point(np.random.default_rng(seed), shape, ranks))
     # X is tangent at X (core direction = core), so a unit step along -X
     # lands on the zero tensor, which supports no positive rank.
-    toward_zero = riemannian_grad_tucker(p, tucker_to_tensor(p))
+    toward_zero = riemannian_grad_tucker(h, tucker_to_tensor(p))
     with pytest.raises(RankDeficiencyError):
         tucker_retract(p, toward_zero.scaled(-1.0), 1.0)

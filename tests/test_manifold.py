@@ -18,6 +18,7 @@ from cqd.manifold import (
     tucker_to_tensor,
     zero_tangent,
 )
+from cqd.tensor_core import thin_hosvd
 
 
 def random_stiefel(rng, n, p) -> StiefelPoint:
@@ -27,6 +28,12 @@ def random_stiefel(rng, n, p) -> StiefelPoint:
 def random_tucker_point(rng, shape=(5, 6, 7), ranks=(2, 3, 2)) -> TuckerPoint:
     factors = tuple(random_stiefel(rng, shape[m], ranks[m]) for m in range(3))
     return TuckerPoint(core=rng.standard_normal(ranks), factors=factors)
+
+
+def hosvd_gauge(p: TuckerPoint):
+    """`p` re-expressed in the gauge of its HOSVD (the same tensor), and that HOSVD."""
+    h = thin_hosvd(p.core, tuple(f.u for f in p.factors))
+    return TuckerPoint(core=h.core, factors=tuple(StiefelPoint(u) for u in h.factors)), h
 
 
 def random_tangent(rng, p: TuckerPoint) -> TuckerTangent:
@@ -129,51 +136,128 @@ def test_tucker_point_validates_factor_ranks():
 
 def test_riemannian_grad_zero_input():
     rng = np.random.default_rng(12)
-    p = random_tucker_point(rng)
-    t = riemannian_grad_tucker(p, np.zeros(p.shape))
+    p, h = hosvd_gauge(random_tucker_point(rng))
+    t = riemannian_grad_tucker(h, np.zeros(p.shape))
     assert np.all(t.core_dir == 0.0)
     assert all(np.all(d == 0.0) for d in t.factor_dirs)
-    assert tangent_norm_sq(p, t) == 0.0
+    assert tangent_norm_sq(h, t) == 0.0
 
 
 def test_riemannian_grad_fixes_embedded_tangents():
     rng = np.random.default_rng(13)
-    p = random_tucker_point(rng)
+    p, h = hosvd_gauge(random_tucker_point(rng))
     t = random_tangent(rng, p)
     ambient = tangent_to_ambient(p, t)
-    back = riemannian_grad_tucker(p, ambient)
+    back = riemannian_grad_tucker(h, ambient)
     assert np.linalg.norm(tangent_to_ambient(p, back) - ambient) <= 1e-9
 
 
 def test_riemannian_grad_gauge_orthogonality():
     rng = np.random.default_rng(14)
-    p = random_tucker_point(rng)
-    t = riemannian_grad_tucker(p, rng.standard_normal(p.shape))
+    p, h = hosvd_gauge(random_tucker_point(rng))
+    t = riemannian_grad_tucker(h, rng.standard_normal(p.shape))
     for mode in range(3):
         assert np.max(np.abs(p.factors[mode].u.T @ t.factor_dirs[mode])) <= 1e-10
 
 
 def test_riemannian_grad_shape_mismatch():
     rng = np.random.default_rng(15)
-    p = random_tucker_point(rng)
+    p, h = hosvd_gauge(random_tucker_point(rng))
     with pytest.raises(ValueError):
-        riemannian_grad_tucker(p, np.zeros((2, 2, 2)))
+        riemannian_grad_tucker(h, np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        riemannian_grad_tucker(h, np.zeros((1, 2, *p.shape)))
+    with pytest.raises(ValueError, match="finite"):
+        riemannian_grad_tucker(h, np.full(p.shape, np.nan))
+
+
+def reference_projection(p: TuckerPoint, z: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of z onto the tangent space at p, by least squares.
+
+    The tangent space is spanned by the embeddings of the core directions
+    e_abc and of the horizontal factor directions (I - U_n U_n^T) e_i e_j^T;
+    the latter are linearly dependent, which lstsq handles by its SVD.
+    """
+    zero_dirs = tuple(np.zeros(f.shape) for f in p.factors)
+    basis = []
+    for idx in np.ndindex(p.ranks):
+        core_dir = np.zeros(p.ranks)
+        core_dir[idx] = 1.0
+        basis.append(tangent_to_ambient(p, TuckerTangent(core_dir, zero_dirs)))
+    for mode in range(3):
+        u = p.factors[mode].u
+        for i, j in np.ndindex(u.shape):
+            d = np.zeros(u.shape)
+            d[i, j] = 1.0
+            dirs = list(zero_dirs)
+            dirs[mode] = d - u @ (u.T @ d)
+            basis.append(tangent_to_ambient(p, TuckerTangent(np.zeros(p.ranks), tuple(dirs))))
+    a = np.stack([v.ravel() for v in basis], axis=1)
+    coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=1e-10)
+    return (a @ coef).reshape(z.shape)
+
+
+@pytest.mark.parametrize(
+    "shape, ranks",
+    [
+        ((6, 6, 6), (2, 2, 2)),
+        ((12, 12, 12), (4, 4, 4)),
+        ((5, 7, 9), (2, 3, 4)),
+        ((6, 5, 4), (3, 2, 4)),
+    ],
+    ids=["6^3-r2", "12^3-r4", "5x7x9-r234", "6x5x4-r324"],
+)
+def test_riemannian_grad_matches_least_squares_projection(shape, ranks):
+    rng = np.random.default_rng(sum(shape) + sum(ranks))
+    start = random_tucker_point(rng, shape, ranks)
+    p, h = hosvd_gauge(start)
+    z = rng.standard_normal(shape)
+    # The reference spans the tangent space from the point's own gauge.
+    want = reference_projection(start, z)
+    t = riemannian_grad_tucker(h, z)
+    got = tangent_to_ambient(p, t)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(z)
+    # The norm needs only the core direction and the svals of the gauge.
+    assert tangent_norm_sq(h, t) == pytest.approx(float(np.sum(got**2)), rel=1e-12)
+
+
+def test_stacked_projection_equals_one_call_per_slice():
+    rng = np.random.default_rng(26)
+    p, h = hosvd_gauge(random_tucker_point(rng, (5, 7, 9), (2, 3, 4)))
+    z = rng.standard_normal((2, *p.shape))
+    stacked = riemannian_grad_tucker(h, z)
+    assert len(stacked) == 2
+    for t, zi in zip(stacked, z):
+        single = riemannian_grad_tucker(h, zi)
+        np.testing.assert_allclose(t.core_dir, single.core_dir, rtol=1e-14, atol=1e-15)
+        for a, b in zip(t.factor_dirs, single.factor_dirs):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-15)
+
+
+def test_riemannian_grad_rank_collapse_names_mode_and_position():
+    rng = np.random.default_rng(27)
+    p = random_tucker_point(rng, ranks=(2, 3, 2))
+    core = p.core.copy()
+    core[:, 2, :] = 0.0  # the mode-1 unfolding loses its third row
+    _, h = hosvd_gauge(TuckerPoint(core=core, factors=p.factors))
+    with pytest.raises(RankDeficiencyError, match="mode-1 singular value at position 3 "):
+        riemannian_grad_tucker(h, np.ones(p.shape))
 
 
 def test_tangent_norm_matches_ambient_embedding():
     rng = np.random.default_rng(16)
-    p = random_tucker_point(rng)
+    p, h = hosvd_gauge(random_tucker_point(rng))
     t = random_tangent(rng, p)
     ambient = tangent_to_ambient(p, t)
-    assert tangent_norm_sq(p, t) == pytest.approx(float(np.sum(ambient**2)), rel=1e-10)
+    assert tangent_norm_sq(h, t) == pytest.approx(float(np.sum(ambient**2)), rel=1e-10)
 
 
 def test_projection_shrinks_norm():
     rng = np.random.default_rng(17)
-    p = random_tucker_point(rng)
+    p, h = hosvd_gauge(random_tucker_point(rng))
     z = rng.standard_normal(p.shape)
-    t = riemannian_grad_tucker(p, z)
-    assert tangent_norm_sq(p, t) <= np.sum(z**2) * (1 + 1e-12)
+    t = riemannian_grad_tucker(h, z)
+    assert tangent_norm_sq(h, t) <= np.sum(z**2) * (1 + 1e-12)
 
 
 def test_tucker_retract_zero_direction():
@@ -204,7 +288,8 @@ def test_tucker_retract_descends_toward_matching_rank_target():
     target = tucker_to_tensor(random_tucker_point(rng, shape=(5, 5, 5), ranks=(2, 2, 2)))
     dists = [np.linalg.norm(tucker_to_tensor(p) - target)]
     for _ in range(60):
-        grad = riemannian_grad_tucker(p, tucker_to_tensor(p) - target)
+        p, h = hosvd_gauge(p)
+        grad = riemannian_grad_tucker(h, tucker_to_tensor(p) - target)
         p = tucker_retract(p, grad.scaled(-1.0), 0.2)
         dists.append(np.linalg.norm(tucker_to_tensor(p) - target))
     diffs = np.diff(dists)
@@ -214,11 +299,11 @@ def test_tucker_retract_descends_toward_matching_rank_target():
 
 def test_tucker_retract_rank_collapse_raises():
     rng = np.random.default_rng(21)
-    p = random_tucker_point(rng)
+    p, h = hosvd_gauge(random_tucker_point(rng))
     x = tucker_to_tensor(p)
     # X itself is tangent at X (core direction = core), so a unit step along
     # -X lands exactly on the zero tensor.
-    toward_zero = riemannian_grad_tucker(p, x)
+    toward_zero = riemannian_grad_tucker(h, x)
     with pytest.raises(RankDeficiencyError, match="mode-0 singular value at position 2 "):
         tucker_retract(p, toward_zero.scaled(-1.0), 1.0)
 

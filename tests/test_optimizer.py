@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cqd.manifold import gen_synthetic, tucker_from_tensor, tucker_to_tensor
+from cqd.manifold import TuckerPoint, gen_synthetic, tucker_from_tensor, tucker_to_tensor
 from cqd.optimizer import (
     OracleConfig,
     RunTrace,
@@ -165,6 +167,63 @@ def test_linalg_error_in_a_stage_becomes_trace_error(monkeypatch):
     assert trace.error == "retract at k=0: linalg: SVD did not converge"
     assert len(trace) == 1
     assert final is x0
+
+
+def test_rank_collapse_of_the_start_point_is_a_typed_trace_error():
+    # A zero core slice leaves the mode-0 unfolding one row short: the
+    # projection's 1/s^2 scaling would divide by zero.
+    x0, task = setup_problem(20)
+    core = x0.core.copy()
+    core[1] = 0.0
+    start = TuckerPoint(core=core, factors=x0.factors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final, trace = run_cqd(start, task, OracleConfig(0.1, 20), RM, 0.1, 10)
+    assert trace.error == (
+        "project at k=0: rank_deficiency: mode-0 singular value at position 2 is below 1e-12"
+    )
+    assert len(trace) == 0
+    assert final is start
+
+
+def test_trace_rows_round_trip_through_the_compact_columns():
+    x0, task = setup_problem(21)
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 21), RM, 0.1, 30)
+    rows = list(trace.rows)
+    assert [row.k for row in rows] == list(range(30))
+    for row in rows:
+        assert type(row.loss) is float and type(row.eps) is float and type(row.eta) is float
+        assert type(row.budget) is int and type(row.k) is int
+        assert type(row.ranks) is tuple and all(type(r) is int for r in row.ranks)
+    assert trace.rows == rows and trace.rows[-1] == rows[-1] and trace.rows[2:5] == rows[2:5]
+    assert repr(trace) == f"RunTrace(rows={rows!r}, error=None)"
+    for name in ("k", "loss", "grad_norm_sq", "ranks", "budget", "eta", "eps"):
+        want = np.array([getattr(row, name) for row in rows])
+        got = trace.column(name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert RunTrace().column("budget").dtype == np.array([]).dtype
+    # A row written back is read back; its k is its position.
+    changed = dataclasses.replace(rows[4], budget=99, loss=1.5, ranks=(1, 2, 3))
+    trace.rows[4] = changed
+    assert trace.rows[4] == changed and trace.rows[3] == rows[3]
+    with pytest.raises(ValueError, match="k=4"):
+        trace.rows[4] = rows[5]
+
+
+def test_a_trace_retains_under_100_bytes_per_iteration():
+    # What the returned trace holds is what dropping it frees.
+    x0, task = setup_problem(22)
+    iters = 400
+    tracemalloc.start()
+    try:
+        _, trace = run_cqd(x0, task, OracleConfig(0.1, 22), RM, 0.1, iters)
+        assert len(trace) == iters
+        with_trace = tracemalloc.get_traced_memory()[0]
+        del trace
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (with_trace - without) / iters <= 100
 
 
 def test_task_spec_tau_is_required_and_at_least_one():

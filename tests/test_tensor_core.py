@@ -268,6 +268,20 @@ def test_factorization_rejects_svals_not_matching_factor_columns():
         HosvdFactorization(core=f.core, factors=f.factors, svals=short)
 
 
+def test_factorization_rejects_a_core_that_is_not_all_orthogonal():
+    rng = np.random.default_rng(20)
+    core = rng.standard_normal((2, 3, 2))
+    factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
+    f = thin_hosvd(core, factors)
+    # The HOSVD's own fields pass the public constructor.
+    HosvdFactorization(core=f.core, factors=f.factors, svals=f.svals)
+    # The same tensor in another gauge, with the HOSVD's svals, does not.
+    with pytest.raises(ValueError, match="all-orthogonal"):
+        HosvdFactorization(core=core, factors=tuple(factors), svals=f.svals)
+    with pytest.raises(ValueError, match="core dim"):
+        HosvdFactorization(core=f.core[:1], factors=f.factors, svals=f.svals)
+
+
 def test_thin_hosvd_exact_with_rank_bound_by_columns():
     rng = np.random.default_rng(19)
     core = rng.standard_normal((2, 3, 2))
