@@ -69,10 +69,9 @@ def main() -> None:
     import cqd
     from cqd import bench_cli
     from cqd.manifold import (
-        StiefelPoint, TuckerPoint, gen_synthetic, riemannian_grad_tucker, tucker_from_tensor,
-        tucker_retract,
+        gen_synthetic, hosvd_gauge, riemannian_grad_tucker, tucker_from_tensor, tucker_retract,
     )
-    from cqd.tensor_core import hosvd, thin_hosvd
+    from cqd.tensor_core import hosvd
 
     if Path(cqd.__file__).resolve().parent.parent != src:
         raise SystemExit(f"cqd imported from {cqd.__file__}, not from {src}")
@@ -108,10 +107,9 @@ def main() -> None:
     for seed in range(3):
         instance, _ = gen_synthetic((8, 7, 6), (3, 2, 2), 0.0, seed)
         p = tucker_from_tensor(instance, (3, 2, 2))
-        h = thin_hosvd(p.core, tuple(f.u for f in p.factors))
+        gauged, h = hosvd_gauge(p)
         digest(f"thin_hosvd/seed{seed}", *factorization_bytes(h))
         digest(f"tucker_from_tensor/seed{seed}", *point_bytes(p))
-        gauged = TuckerPoint(h.core, tuple(StiefelPoint(u) for u in h.factors))
         t = riemannian_grad_tucker(h, rng.standard_normal((8, 7, 6)))
         digest(f"tucker_retract/seed{seed}", *point_bytes(tucker_retract(gauged, t, 0.3)))
 

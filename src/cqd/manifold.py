@@ -16,6 +16,7 @@ from .tensor_core import (
     _unfold,
     as_matrix,
     as_tensor3,
+    thin_hosvd,
 )
 
 ORTHO_TOL = 1e-10
@@ -77,12 +78,6 @@ class TuckerTangent:
 
     core_dir: np.ndarray
     factor_dirs: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def scaled(self, alpha: float) -> "TuckerTangent":
-        return TuckerTangent(
-            core_dir=alpha * self.core_dir,
-            factor_dirs=tuple(alpha * d for d in self.factor_dirs),
-        )
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -158,17 +153,22 @@ def tucker_from_tensor(x, ranks) -> TuckerPoint:
     return TuckerPoint(core=core, factors=tuple(StiefelPoint(u) for u in factors))
 
 
-def _hosvd_point(h: HosvdFactorization) -> TuckerPoint:
-    """The Tucker point with the core and factors of `h`, from :func:`thin_hosvd`.
+def hosvd_gauge(p: TuckerPoint) -> tuple[TuckerPoint, HosvdFactorization]:
+    """`p` re-expressed in the gauge of its HOSVD, and that HOSVD.
 
-    Built without re-checking: the kernel gives orthonormal factor columns,
-    one per core index.
+    The returned point is the same tensor, with the core and factors of the
+    returned factorization `h`.  Tangents from :func:`riemannian_grad_tucker`
+    at `h` refer to this point, not to `p`: retract from it, and embed them
+    with it.  The point is built without re-checking, since the kernel gives
+    orthonormal factor columns, one per core index.
     """
-    return _trusted(
+    h = thin_hosvd(p.core, tuple(f.u for f in p.factors))
+    point = _trusted(
         TuckerPoint,
         core=h.core,
         factors=tuple(_trusted(StiefelPoint, u=u) for u in h.factors),
     )
+    return point, h
 
 
 def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
@@ -180,7 +180,7 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
     equations of the factor directions are a column scaling by 1/s_n^2.
     The horizontal representation is (core direction, factor directions),
     each factor direction orthogonal to the factor's columns, and refers to
-    the Tucker point with h's core and factors.
+    the point :func:`hosvd_gauge` returns with `h`.
 
     `euclid_grad` has the point's shape, or a leading axis stacking several
     gradients; then the result is a tuple of tangents, one per slice, from

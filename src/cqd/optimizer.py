@@ -12,7 +12,7 @@ import numpy as np
 from .manifold import (
     RankDeficiencyError,
     TuckerPoint,
-    _hosvd_point,
+    hosvd_gauge,
     riemannian_grad_tucker,
     tangent_norm_sq,
     tucker_retract,
@@ -21,7 +21,7 @@ from .manifold import (
 from .oracle_sim import AGGREGATORS, OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
-from .tensor_core import Ranks3, as_tensor3, thin_hosvd
+from .tensor_core import Ranks3, as_tensor3
 
 SCHEDULE_KINDS = ("robbins_monro", "constant")
 
@@ -143,8 +143,6 @@ class RunTrace:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
-        if name in _SCALARS and len(self):
-            return np.array(self.rows._cols[name])
         return np.array([getattr(row, name) for row in self.rows])
 
 
@@ -203,7 +201,7 @@ def run_cqd(
                 return good, trace
             good = x
             stage = "mask"
-            h = thin_hosvd(x.core, tuple(f.u for f in x.factors))
+            gauged, h = hosvd_gauge(x)
             cs, eps = compress_within_budget(h, eps, task.tau)
             achieved = budget(cs.ranks)
             stage = "oracle"
@@ -233,7 +231,7 @@ def run_cqd(
                 iterate_hook(k, ambient)
 
             stage = "retract"
-            x = tucker_retract(_hosvd_point(h), step_dir, eta)
+            x = tucker_retract(gauged, step_dir, eta)
         except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
             kind = "rank_deficiency" if isinstance(exc, RankDeficiencyError) else "linalg"
             trace.error = f"{stage} at k={k}: {kind}: {exc}"

@@ -16,6 +16,7 @@ from cqd.manifold import (
     RankDeficiencyError,
     TuckerPoint,
     TuckerTangent,
+    hosvd_gauge,
     qr_retraction,
     riemannian_grad_tucker,
     tangent_to_ambient,
@@ -24,7 +25,6 @@ from cqd.manifold import (
 )
 from cqd.spectral_masking import mask_factorization
 from cqd.tensor_core import _mode_mult, hosvd, thin_hosvd
-from tests.test_manifold import hosvd_gauge
 
 RTOL = 1e-12
 # Deterministic example sequence, so that a run repeats the same cases.
@@ -161,6 +161,6 @@ def test_retract_raises_on_rank_collapse(case):
     p, h = hosvd_gauge(random_point(np.random.default_rng(seed), shape, ranks))
     # X is tangent at X (core direction = core), so a unit step along -X
     # lands on the zero tensor, which supports no positive rank.
-    toward_zero = riemannian_grad_tucker(h, tucker_to_tensor(p))
+    toward_zero = riemannian_grad_tucker(h, -tucker_to_tensor(p))
     with pytest.raises(RankDeficiencyError):
-        tucker_retract(p, toward_zero.scaled(-1.0), 1.0)
+        tucker_retract(p, toward_zero, 1.0)

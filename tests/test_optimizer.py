@@ -202,6 +202,11 @@ def test_trace_rows_round_trip_through_the_compact_columns():
         got = trace.column(name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert RunTrace().column("budget").dtype == np.array([]).dtype
+    # A trace built from a plain list of rows reads the same columns.
+    listed = RunTrace(rows=rows)
+    for name in ("loss", "budget", "ranks"):
+        assert np.array_equal(listed.column(name), trace.column(name))
+    assert descent_certificate(listed, 1.0, 0.1) == descent_certificate(trace, 1.0, 0.1)
     # A row written back is read back; its k is its position.
     changed = dataclasses.replace(rows[4], budget=99, loss=1.5, ranks=(1, 2, 3))
     trace.rows[4] = changed
