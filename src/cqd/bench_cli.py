@@ -67,8 +67,13 @@ class ExperimentConfig:
         if self.experiment == "projopt":
             if len(self.shape) != 2:
                 raise ValueError("projector experiment expects a matrix shape (m, n)")
-            if not self.ranks or not 1 <= self.ranks[0] <= self.shape[0]:
-                raise ValueError(f"projector rank must lie in [1, {self.shape[0]}], got {self.ranks}")
+            if len(self.ranks) != 1 or not 1 <= self.ranks[0] <= self.shape[0]:
+                raise ValueError(f"projector experiment expects one rank in [1, {self.shape[0]}], "
+                                 f"got {self.ranks}")
+        elif self.experiment == "tailbound":
+            # Instance shapes are drawn from the seed up to the shape's side.
+            if len(self.seeds) != 1 or len(self.shape) != 3 or len(set(self.shape)) != 1:
+                raise ValueError("tail-bound experiment expects one seed and three equal shape entries")
         elif self.experiment in ("converge", "ratedist", "ensemble"):
             if len(self.shape) != 3 or len(self.ranks) != 3:
                 raise ValueError(f"{self.experiment} expects three shape entries and three ranks")
@@ -80,7 +85,7 @@ class ExperimentConfig:
 class Report:
     experiment: str
     config: dict
-    columns: tuple[str, ...]
+    columns: tuple[str, ...] = ()
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     passed: dict = field(default_factory=dict)
@@ -90,27 +95,23 @@ class Report:
         return all(self.passed.values())
 
 
-def _summarize(rows: list[dict], columns: tuple[str, ...]) -> dict:
-    summary: dict = {}
-    for col in columns:
+def _finish(report: Report) -> Report:
+    """Take the columns from the first row's keys and summarize the numeric ones."""
+    report.columns = tuple(report.rows[0])
+    for col in report.columns:
         values = [
             float(row[col])
-            for row in rows
+            for row in report.rows
             if isinstance(row.get(col), (int, float)) and not isinstance(row.get(col), bool)
         ]
         if values:
             arr = np.array(values)
-            summary[col] = {
+            report.summary[col] = {
                 "mean": float(np.mean(arr)),
                 "std": float(np.std(arr)),
                 "min": float(np.min(arr)),
                 "max": float(np.max(arr)),
             }
-    return summary
-
-
-def _finish(report: Report) -> Report:
-    report.summary.update(_summarize(report.rows, report.columns))
     return report
 
 
@@ -118,8 +119,7 @@ def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
     """Top-r singular projector beats random rank-r projectors on every draw."""
     m_dim, n_dim = cfg.shape
     r = int(cfg.ranks[0])
-    columns = ("seed", "optimal_residual_sq", "best_random_residual_sq", "violations")
-    report = Report("projopt", dataclasses.asdict(cfg), columns)
+    report = Report("projopt", dataclasses.asdict(cfg))
     total_violations = 0
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
@@ -150,8 +150,7 @@ def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
 def exp_tail_bound(cfg: ExperimentConfig) -> Report:
     """Truncation residual is bounded by the discarded spectral energy, all rank triples."""
     max_dim = max(int(s) for s in cfg.shape)
-    columns = ("instance", "shape", "n_triples", "violations", "max_slack_ratio")
-    report = Report("tailbound", dataclasses.asdict(cfg), columns)
+    report = Report("tailbound", dataclasses.asdict(cfg))
     total_violations = 0
     base = int(cfg.seeds[0])
     for i in range(cfg.n_instances):
@@ -228,19 +227,7 @@ def _convergence_run(cfg: ExperimentConfig, seed: int, variant: str) -> dict:
 
 def exp_convergence(cfg: ExperimentConfig) -> Report:
     """Desk-scale convergence: noisy Robbins-Monro runs plus two controls per seed."""
-    columns = (
-        "seed",
-        "variant",
-        "iters_run",
-        "crossing_iter",
-        "min_running_grad_sq",
-        "final_loss",
-        "min_loss",
-        "budget_violations",
-        "diverged",
-        "error",
-    )
-    report = Report("converge", dataclasses.asdict(cfg), columns)
+    report = Report("converge", dataclasses.asdict(cfg))
     for seed in cfg.seeds:
         for variant in ("rm_noisy", "deterministic", "negative_control"):
             report.rows.append(_convergence_run(cfg, seed, variant))
@@ -262,18 +249,7 @@ def exp_convergence(cfg: ExperimentConfig) -> Report:
 
 def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
     """Budget/distortion frontier over an eps grid; must be monotone."""
-    columns = (
-        "seed",
-        "grid_index",
-        "eps",
-        "r1",
-        "r2",
-        "r3",
-        "budget",
-        "distortion",
-        "lagrangian",
-    )
-    report = Report("ratedist", dataclasses.asdict(cfg), columns)
+    report = Report("ratedist", dataclasses.asdict(cfg))
     grid = np.geomspace(1e-4, 0.999, cfg.grid_points)
     monotone = True
     for seed in cfg.seeds:
@@ -314,8 +290,7 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
 
 def exp_ensemble_variance(cfg: ExperimentConfig) -> Report:
     """Mean-aggregated oracle variance scales as sigma^2 / m."""
-    columns = ("seed", "m", "variance", "expected", "ratio")
-    report = Report("ensemble", dataclasses.asdict(cfg), columns)
+    report = Report("ensemble", dataclasses.asdict(cfg))
     in_band = True
     decreasing = True
     for seed in cfg.seeds:
@@ -382,9 +357,16 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
-# Every ExperimentConfig field but these three is a flag, named after the
-# field with dashes unless renamed here.
-_UNFLAGGED = ("experiment", "eta0", "k0")
+# The ExperimentConfig fields each experiment reads, one flag each, named after
+# the field with dashes unless renamed below.  converge also reads eta0 and k0,
+# which keep their defaults.
+_FLAGGED = {
+    "projopt": ("shape", "ranks", "seeds", "n_projectors"),
+    "tailbound": ("shape", "seeds", "n_instances"),
+    "converge": ("shape", "ranks", "sigma", "seeds", "iters", "eps0", "tau", "noise_floor"),
+    "ratedist": ("shape", "ranks", "seeds", "lam", "noise_floor", "grid_points"),
+    "ensemble": ("shape", "ranks", "sigma", "seeds", "eps0", "noise_floor", "trials", "m_values"),
+}
 _FLAG_NAMES = {"seeds": "seed-list", "eps0": "eps", "lam": "lambda",
                "n_projectors": "projectors", "n_instances": "instances", "m_values": "m-list"}
 # Per-experiment defaults that differ from ExperimentConfig's.
@@ -401,18 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certification experiments for spectral-masked query delegation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     for name, fn in EXPERIMENTS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", default="json", choices=("csv", "json"))
-        for f in dataclasses.fields(ExperimentConfig):
-            if f.name in _UNFLAGGED:
-                continue
-            default = _DEFAULTS.get(name, {}).get(f.name, f.default)
+        for field_name in _FLAGGED[name]:
+            default = _DEFAULTS.get(name, {}).get(field_name, defaults[field_name])
             tuple_valued = isinstance(default, tuple)
             p.add_argument(
-                "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
-                dest=f.name,
+                "--" + _FLAG_NAMES.get(field_name, field_name.replace("_", "-")),
+                dest=field_name,
                 type=_int_tuple if tuple_valued else type(default),
                 default=default,
                 help=f"{'comma-separated, ' if tuple_valued else ''}default %(default)s",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
+import inspect
 import json
 import re
 
@@ -79,6 +81,12 @@ def test_config_rejects_counts_below_one(field, value):
     ["converge", "--tau", "0"],
     ["converge", "--ranks", "9,2,2"],
     ["projopt", "--shape", "6,6,6"],
+    # Inputs the experiment would otherwise cut down without a word: tailbound
+    # reads only the first seed and the largest side, projopt the first rank.
+    ["tailbound", "--seed-list", "3,4,5"],
+    pytest.param(["tailbound", "--shape", "4,1,1"], id="tailbound --shape 4,1,1"),
+    pytest.param(["tailbound", "--shape", "4"], id="tailbound --shape 4"),
+    ["projopt", "--ranks", "2,5,7"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -275,10 +283,37 @@ PINNED_DEFAULTS = {
     "ratedist": _COMMON,
     "ensemble": dict(_COMMON, sigma=0.5),
 }
-FLAGS = {
-    "--seed-list", "--out", "--format", "--shape", "--ranks", "--sigma", "--iters", "--eps",
-    "--tau", "--lambda", "--grid-points", "--trials", "--projectors", "--instances",
-    "--m-list", "--noise-floor",
+# Each subcommand's flags: one per ExperimentConfig field its experiment reads.
+OWN_FLAGS = {
+    "projopt": {"--shape", "--ranks", "--seed-list", "--projectors"},
+    "tailbound": {"--shape", "--seed-list", "--instances"},
+    "converge": {"--shape", "--ranks", "--sigma", "--seed-list", "--iters", "--eps", "--tau",
+                 "--noise-floor"},
+    "ratedist": {"--shape", "--ranks", "--seed-list", "--lambda", "--noise-floor", "--grid-points"},
+    "ensemble": {"--shape", "--ranks", "--sigma", "--seed-list", "--eps", "--noise-floor",
+                 "--trials", "--m-list"},
+}
+# Every config flag, with a non-default value as typed and as it lands in its field.
+FLAG_VALUES = {
+    "--shape": ("4,5,6", "shape", (4, 5, 6)),
+    "--ranks": ("1,2,3", "ranks", (1, 2, 3)),
+    "--sigma": ("0.2", "sigma", 0.2),
+    "--seed-list": ("3,4", "seeds", (3, 4)),
+    "--iters": ("7", "iters", 7),
+    "--eps": ("0.3", "eps0", 0.3),
+    "--tau": ("9", "tau", 9),
+    "--lambda": ("0.4", "lam", 0.4),
+    "--noise-floor": ("0.05", "noise_floor", 0.05),
+    "--grid-points": ("11", "grid_points", 11),
+    "--trials": ("12", "trials", 12),
+    "--projectors": ("13", "n_projectors", 13),
+    "--instances": ("14", "n_instances", 14),
+    "--m-list": ("2,3", "m_values", (2, 3)),
+}
+# projopt takes a matrix and one rank, tailbound one seed and a cube.
+FLAG_VALUES_FOR = {
+    "projopt": {"--shape": ("4,5", "shape", (4, 5)), "--ranks": ("3", "ranks", (3,))},
+    "tailbound": {"--shape": ("4,4,4", "shape", (4, 4, 4)), "--seed-list": ("3", "seeds", (3,))},
 }
 
 
@@ -309,26 +344,53 @@ def test_cli_defaults_are_pinned(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DEFAULTS))
-def test_cli_offers_exactly_the_sixteen_flags(capsys, name):
+def test_cli_offers_exactly_its_own_flags(capsys, name):
     with pytest.raises(SystemExit) as exc:
         main([name, "--help"])
     assert exc.value.code == 0
-    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS | {"--help"}
-    for flag in ("--eta0", "--k0"):
-        with pytest.raises(SystemExit):
-            main([name, flag, "1"])
+    offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert offered == OWN_FLAGS[name] | {"--out", "--format", "--help"}
+    for flag in sorted(set(FLAG_VALUES) - OWN_FLAGS[name]) + ["--eta0", "--k0"]:
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, FLAG_VALUES.get(flag, ("1",))[0]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cqd-bench")
+        assert f"unrecognized arguments: {flag} " in err
 
 
 def test_cli_every_flag_lands_in_its_field(monkeypatch):
-    argv = (
-        "ratedist --seed-list 3,4 --out x.csv --format csv --shape 4,5,6 --ranks 1,2,3"
-        " --sigma 0.2 --iters 7 --eps 0.3 --tau 9 --lambda 0.4 --grid-points 11 --trials 12"
-        " --projectors 13 --instances 14 --m-list 2,3 --noise-floor 0.05"
-    ).split()
-    seen = run_main(monkeypatch, argv)
-    assert seen["out"] == ("x.csv", "csv")
-    assert typed(seen["cfg"]) == typed(dict(
-        experiment="ratedist", shape=(4, 5, 6), ranks=(1, 2, 3), sigma=0.2, seeds=(3, 4),
-        iters=7, eps0=0.3, tau=9, lam=0.4, noise_floor=0.05, eta0=0.5, k0=100.0,
-        grid_points=11, trials=12, n_projectors=13, n_instances=14, m_values=(2, 3),
-    ))
+    for name, flags in OWN_FLAGS.items():
+        values = {**FLAG_VALUES, **FLAG_VALUES_FOR.get(name, {})}
+        argv = [name, "--out", "x.csv", "--format", "csv"]
+        expected = dict(PINNED_DEFAULTS[name], experiment=name)
+        for flag in sorted(flags):
+            text, field_name, value = values[flag]
+            argv += [flag, text]
+            expected[field_name] = value
+        seen = run_main(monkeypatch, argv)
+        assert seen["out"] == ("x.csv", "csv")
+        assert typed(seen["cfg"]) == typed(expected)
+
+
+def config_fields_read(name: str, defs: dict) -> set:
+    """Fields of `cfg` read in module function `name` and the module functions it calls."""
+    read, todo, done = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        done.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs.keys() - done:
+                todo.append(node.func.id)
+    return read
+
+
+def test_each_subcommand_flags_exactly_the_fields_its_experiment_reads():
+    # eta0 and k0 are read by converge but have no flag.
+    module = ast.parse(inspect.getsource(bench_cli))
+    defs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    for name, fn in bench_cli.EXPERIMENTS.items():
+        read = config_fields_read(fn.__name__, defs) - {"eta0", "k0"}
+        assert read == set(bench_cli._FLAGGED[name]), name
