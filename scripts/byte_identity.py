@@ -114,20 +114,18 @@ def main() -> None:
         digest(f"tucker_retract/seed{seed}", *point_bytes(tucker_retract(gauged, t, 0.3)))
 
     # Acceptance criterion 10's configurations.
-    cfg = bench_cli.ExperimentConfig
     configs = {
-        "projopt": cfg(
-            experiment="projopt", shape=(6, 8), ranks=(2,), seeds=(0, 1), n_projectors=50
-        ),
-        "tailbound": cfg(experiment="tailbound", seeds=(0,), n_instances=5),
-        "converge": cfg(experiment="converge", seeds=(0,), iters=300),
-        "ratedist": cfg(experiment="ratedist", seeds=(0, 1), grid_points=20),
-        "ensemble": cfg(experiment="ensemble", sigma=0.5, seeds=(0,), trials=200, m_values=(1, 4)),
+        "projopt": bench_cli.ProjOptConfig(shape=(6, 8), ranks=(2,), seeds=(0, 1), n_projectors=50),
+        "tailbound": bench_cli.TailBoundConfig(shape=(6, 6, 6), seeds=(0,), n_instances=5),
+        "converge": bench_cli.ConvergeConfig(seeds=(0,), iters=300),
+        "ratedist": bench_cli.RateDistConfig(seeds=(0, 1), grid_points=20),
+        "ensemble": bench_cli.EnsembleConfig(sigma=0.5, seeds=(0,), trials=200, m_values=(1, 4)),
     }
     for name, config in configs.items():
+        _, experiment = bench_cli.EXPERIMENTS[name]
         for fmt in ("csv", "json"):
             path = work / f"criterion10_{name}.{fmt}"
-            bench_cli.emit_report(bench_cli.EXPERIMENTS[name](config), path, fmt)
+            bench_cli.emit_report(experiment(config), path, fmt)
             digest(f"criterion10/{name}.{fmt}", path.read_bytes())
 
     if args.cli:

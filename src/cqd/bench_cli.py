@@ -5,13 +5,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .manifold import gen_synthetic, qr_retraction, tucker_from_tensor
+from .manifold import _check_rank_triple, gen_synthetic, qr_retraction, tucker_from_tensor
 from .optimizer import StepSchedule, TaskSpec, run_cqd
 from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import encode
@@ -23,6 +24,9 @@ GRAD_SQ_THRESHOLD = 1e-3
 DETERMINISTIC_LOSS_THRESHOLD = 1e-8
 DETERMINISTIC_MAX_ITERS = 400
 DETERMINISTIC_ETA = 0.1
+# converge's noisy runs step by eta0 / (1 + k / k0), with these eta0 and k0.
+ROBBINS_MONRO_ETA0 = 0.5
+ROBBINS_MONRO_K0 = 100.0
 NEGATIVE_CONTROL_ETA = 3.0
 NEGATIVE_CONTROL_ITERS = 50
 DIVERGENCE_FACTOR = 1e6
@@ -32,53 +36,96 @@ PROJECTOR_STRICT_TOL = 1e-12
 FRONTIER_TOL = 1e-12
 
 
+# Config fields checked by their name when a config is built.
+_COUNTS = ("iters", "tau", "grid_points", "trials", "n_projectors", "n_instances")
+_NONNEGATIVE = ("sigma", "noise_floor", "lam")
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
+class _Config:
+    """Base of the experiment configs: each field is checked by its name when built."""
+
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if name == "shape" and not all(d > 0 for d in value):
+                raise ValueError("shape entries must be positive")
+            if name == "seeds" and not (value and min(value) >= 0):
+                raise ValueError("seed list must be non-empty and every seed at least 0")
+            if name == "m_values" and not (value and min(value) >= 1):
+                raise ValueError("m list must be non-empty and every m at least 1")
+            if name in _COUNTS and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            if name == "eps0" and not 0 < value < 1:
+                raise ValueError(f"eps0 must lie in (0, 1), got {value}")
+            if name in _NONNEGATIVE and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+@dataclass(frozen=True)
+class ProjOptConfig(_Config):
+    shape: tuple[int, ...] = (6, 8)
+    ranks: tuple[int, ...] = (2,)
+    seeds: tuple[int, ...] = tuple(range(20))
+    n_projectors: int = 500
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.shape) != 2 or len(self.ranks) != 1 or not 1 <= self.ranks[0] <= self.shape[0]:
+            raise ValueError("projector experiment expects a matrix shape (m, n) and one rank "
+                             f"in [1, m], got shape {self.shape} and ranks {self.ranks}")
+
+
+@dataclass(frozen=True)
+class TailBoundConfig(_Config):
+    shape: tuple[int, ...] = (5, 5, 5)
+    seeds: tuple[int, ...] = (0,)
+    n_instances: int = 100
+
+    def __post_init__(self):
+        super().__post_init__()
+        # Instance shapes are drawn from the seed up to the shape's side.
+        if len(self.seeds) != 1 or len(self.shape) != 3 or len(set(self.shape)) != 1:
+            raise ValueError("tail-bound experiment expects one seed and three equal shape entries")
+
+
+@dataclass(frozen=True)
+class _SyntheticConfig(_Config):
+    """The fields of the experiments that draw their instances with gen_synthetic."""
+
     shape: tuple[int, ...] = (6, 6, 6)
     ranks: tuple[int, ...] = (2, 2, 2)
-    sigma: float = 0.1
     seeds: tuple[int, ...] = tuple(range(10))
+    noise_floor: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.shape) != 3 or len(self.ranks) != 3:
+            raise ValueError("expected three shape entries and three ranks")
+        if any(not 1 <= r <= d for r, d in zip(self.ranks, self.shape)):
+            raise ValueError(f"ranks {self.ranks} invalid for shape {self.shape}")
+        _check_rank_triple(self.ranks)
+
+
+@dataclass(frozen=True)
+class ConvergeConfig(_SyntheticConfig):
+    sigma: float = 0.1
     iters: int = 5000
     eps0: float = 0.1
     tau: int = 27
-    lam: float = 0.1
-    noise_floor: float = 0.1
-    eta0: float = 0.5
-    k0: float = 100.0
-    grid_points: int = 50
-    trials: int = 2000
-    n_projectors: int = 500
-    n_instances: int = 100
-    m_values: tuple[int, ...] = (1, 4, 16, 64)
 
-    def __post_init__(self):
-        if any(int(s) <= 0 for s in self.shape):
-            raise ValueError("shape entries must be positive")
-        if not self.seeds:
-            raise ValueError("seed list must be non-empty")
-        if not self.m_values or min(self.m_values) < 1:
-            raise ValueError("m list must be non-empty and every m at least 1")
-        for name in ("iters", "grid_points", "trials", "n_projectors", "n_instances"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.tau < 1:
-            raise ValueError(f"tau must be at least 1, got {self.tau}")
-        if self.experiment == "projopt":
-            if len(self.shape) != 2:
-                raise ValueError("projector experiment expects a matrix shape (m, n)")
-            if len(self.ranks) != 1 or not 1 <= self.ranks[0] <= self.shape[0]:
-                raise ValueError(f"projector experiment expects one rank in [1, {self.shape[0]}], "
-                                 f"got {self.ranks}")
-        elif self.experiment == "tailbound":
-            # Instance shapes are drawn from the seed up to the shape's side.
-            if len(self.seeds) != 1 or len(self.shape) != 3 or len(set(self.shape)) != 1:
-                raise ValueError("tail-bound experiment expects one seed and three equal shape entries")
-        elif self.experiment in ("converge", "ratedist", "ensemble"):
-            if len(self.shape) != 3 or len(self.ranks) != 3:
-                raise ValueError(f"{self.experiment} expects three shape entries and three ranks")
-            if any(not 1 <= r <= d for r, d in zip(self.ranks, self.shape)):
-                raise ValueError(f"ranks {self.ranks} invalid for shape {self.shape}")
+
+@dataclass(frozen=True)
+class RateDistConfig(_SyntheticConfig):
+    lam: float = 0.1
+    grid_points: int = 50
+
+
+@dataclass(frozen=True)
+class EnsembleConfig(_SyntheticConfig):
+    sigma: float = 0.5
+    eps0: float = 0.1
+    trials: int = 2000
+    m_values: tuple[int, ...] = (1, 4, 16, 64)
 
 
 @dataclass
@@ -115,7 +162,7 @@ def _finish(report: Report) -> Report:
     return report
 
 
-def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
+def exp_projector_optimality(cfg: ProjOptConfig) -> Report:
     """Top-r singular projector beats random rank-r projectors on every draw."""
     m_dim, n_dim = cfg.shape
     r = int(cfg.ranks[0])
@@ -135,19 +182,13 @@ def exp_projector_optimality(cfg: ExperimentConfig) -> Report:
             if resid < optimal - PROJECTOR_STRICT_TOL:
                 violations += 1
         total_violations += violations
-        report.rows.append(
-            {
-                "seed": seed,
-                "optimal_residual_sq": optimal,
-                "best_random_residual_sq": best_random,
-                "violations": violations,
-            }
-        )
+        report.rows.append({"seed": seed, "optimal_residual_sq": optimal,
+                            "best_random_residual_sq": best_random, "violations": violations})
     report.passed["zero_violations"] = total_violations == 0
     return _finish(report)
 
 
-def exp_tail_bound(cfg: ExperimentConfig) -> Report:
+def exp_tail_bound(cfg: TailBoundConfig) -> Report:
     """Truncation residual is bounded by the discarded spectral energy, all rank triples."""
     max_dim = max(int(s) for s in cfg.shape)
     report = Report("tailbound", dataclasses.asdict(cfg))
@@ -173,24 +214,18 @@ def exp_tail_bound(cfg: ExperimentConfig) -> Report:
                     if bound > 0:
                         max_ratio = max(max_ratio, resid / bound)
         total_violations += violations
-        report.rows.append(
-            {
-                "instance": i,
-                "shape": "x".join(str(d) for d in shape),
-                "n_triples": n_triples,
-                "violations": violations,
-                "max_slack_ratio": max_ratio,
-            }
-        )
+        report.rows.append({"instance": i, "shape": "x".join(str(d) for d in shape),
+                            "n_triples": n_triples, "violations": violations,
+                            "max_slack_ratio": max_ratio})
     report.passed["zero_violations"] = total_violations == 0
     return _finish(report)
 
 
-def _convergence_run(cfg: ExperimentConfig, seed: int, variant: str) -> dict:
+def _convergence_run(cfg: ConvergeConfig, seed: int, variant: str) -> dict:
     instance, target = gen_synthetic(cfg.shape, cfg.ranks, cfg.noise_floor, seed)
     x0 = tucker_from_tensor(instance, cfg.ranks)
     if variant == "rm_noisy":
-        schedule = StepSchedule("robbins_monro", cfg.eta0, cfg.k0)
+        schedule = StepSchedule("robbins_monro", ROBBINS_MONRO_ETA0, ROBBINS_MONRO_K0)
         sigma, iters = cfg.sigma, cfg.iters
     elif variant == "deterministic":
         schedule = StepSchedule("constant", DETERMINISTIC_ETA)
@@ -208,9 +243,8 @@ def _convergence_run(cfg: ExperimentConfig, seed: int, variant: str) -> dict:
     losses = trace.column("loss")
     budgets = trace.column("budget")
     running_min = np.minimum.accumulate(grads)
-    crossing = np.argmax(running_min < GRAD_SQ_THRESHOLD) if np.any(
-        running_min < GRAD_SQ_THRESHOLD
-    ) else -1
+    below = running_min < GRAD_SQ_THRESHOLD
+    crossing = np.argmax(below) if below.any() else -1
     return {
         "seed": seed,
         "variant": variant,
@@ -225,7 +259,7 @@ def _convergence_run(cfg: ExperimentConfig, seed: int, variant: str) -> dict:
     }
 
 
-def exp_convergence(cfg: ExperimentConfig) -> Report:
+def exp_convergence(cfg: ConvergeConfig) -> Report:
     """Desk-scale convergence: noisy Robbins-Monro runs plus two controls per seed."""
     report = Report("converge", dataclasses.asdict(cfg))
     for seed in cfg.seeds:
@@ -247,7 +281,7 @@ def exp_convergence(cfg: ExperimentConfig) -> Report:
     return _finish(report)
 
 
-def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
+def exp_rate_distortion(cfg: RateDistConfig) -> Report:
     """Budget/distortion frontier over an eps grid; must be monotone."""
     report = Report("ratedist", dataclasses.asdict(cfg))
     grid = np.geomspace(1e-4, 0.999, cfg.grid_points)
@@ -263,19 +297,10 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
             cs = mask_factorization(f, float(eps))
             b = budget(cs.ranks)
             distortion = float(np.sum((instance - masked_tensor(cs)) ** 2))
-            report.rows.append(
-                {
-                    "seed": seed,
-                    "grid_index": idx,
-                    "eps": float(eps),
-                    "r1": cs.ranks[0],
-                    "r2": cs.ranks[1],
-                    "r3": cs.ranks[2],
-                    "budget": b,
-                    "distortion": distortion,
-                    "lagrangian": distortion + cfg.lam * b,
-                }
-            )
+            report.rows.append({"seed": seed, "grid_index": idx, "eps": float(eps),
+                                "r1": cs.ranks[0], "r2": cs.ranks[1], "r3": cs.ranks[2],
+                                "budget": b, "distortion": distortion,
+                                "lagrangian": distortion + cfg.lam * b})
             if prev_budget is not None:
                 if b < prev_budget or distortion > prev_distortion + FRONTIER_TOL * scale:
                     monotone = False
@@ -288,7 +313,7 @@ def exp_rate_distortion(cfg: ExperimentConfig) -> Report:
     return _finish(report)
 
 
-def exp_ensemble_variance(cfg: ExperimentConfig) -> Report:
+def exp_ensemble_variance(cfg: EnsembleConfig) -> Report:
     """Mean-aggregated oracle variance scales as sigma^2 / m."""
     report = Report("ensemble", dataclasses.asdict(cfg))
     in_band = True
@@ -319,12 +344,13 @@ def exp_ensemble_variance(cfg: ExperimentConfig) -> Report:
     return _finish(report)
 
 
+# Each subcommand's config class and experiment.
 EXPERIMENTS = {
-    "projopt": exp_projector_optimality,
-    "tailbound": exp_tail_bound,
-    "converge": exp_convergence,
-    "ratedist": exp_rate_distortion,
-    "ensemble": exp_ensemble_variance,
+    "projopt": (ProjOptConfig, exp_projector_optimality),
+    "tailbound": (TailBoundConfig, exp_tail_bound),
+    "converge": (ConvergeConfig, exp_convergence),
+    "ratedist": (RateDistConfig, exp_rate_distortion),
+    "ensemble": (EnsembleConfig, exp_ensemble_variance),
 }
 
 
@@ -338,16 +364,8 @@ def emit_report(report: Report, path, fmt: str) -> None:
             for row in report.rows:
                 writer.writerow(row)
     elif fmt == "json":
-        doc = {
-            "experiment": report.experiment,
-            "config": report.config,
-            "columns": list(report.columns),
-            "rows": report.rows,
-            "summary": report.summary,
-            "passed": report.passed,
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            json.dump(dataclasses.asdict(report), fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -357,24 +375,9 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part != "")
 
 
-# The ExperimentConfig fields each experiment reads, one flag each, named after
-# the field with dashes unless renamed below.  converge also reads eta0 and k0,
-# which keep their defaults.
-_FLAGGED = {
-    "projopt": ("shape", "ranks", "seeds", "n_projectors"),
-    "tailbound": ("shape", "seeds", "n_instances"),
-    "converge": ("shape", "ranks", "sigma", "seeds", "iters", "eps0", "tau", "noise_floor"),
-    "ratedist": ("shape", "ranks", "seeds", "lam", "noise_floor", "grid_points"),
-    "ensemble": ("shape", "ranks", "sigma", "seeds", "eps0", "noise_floor", "trials", "m_values"),
-}
+# Each config field has one flag, named after the field with dashes unless renamed here.
 _FLAG_NAMES = {"seeds": "seed-list", "eps0": "eps", "lam": "lambda",
                "n_projectors": "projectors", "n_instances": "instances", "m_values": "m-list"}
-# Per-experiment defaults that differ from ExperimentConfig's.
-_DEFAULTS = {
-    "projopt": {"shape": (6, 8), "ranks": (2,), "seeds": tuple(range(20))},
-    "tailbound": {"shape": (5, 5, 5), "seeds": (0,)},
-    "ensemble": {"sigma": 0.5},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,19 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certification experiments for spectral-masked query delegation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    for name, fn in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name, (config_class, experiment) in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.__doc__)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", default="json", choices=("csv", "json"))
-        for field_name in _FLAGGED[name]:
-            default = _DEFAULTS.get(name, {}).get(field_name, defaults[field_name])
-            tuple_valued = isinstance(default, tuple)
+        for f in dataclasses.fields(config_class):
+            tuple_valued = isinstance(f.default, tuple)
             p.add_argument(
-                "--" + _FLAG_NAMES.get(field_name, field_name.replace("_", "-")),
-                dest=field_name,
-                type=_int_tuple if tuple_valued else type(default),
-                default=default,
+                "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
+                dest=f.name,
+                type=_int_tuple if tuple_valued else type(f.default),
+                default=f.default,
                 help=f"{'comma-separated, ' if tuple_valued else ''}default %(default)s",
             )
     return parser
@@ -405,11 +406,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     opts = vars(parser.parse_args(argv))
     command, out, fmt = opts.pop("command"), opts.pop("out"), opts.pop("format")
+    config_class, experiment = EXPERIMENTS[command]
     try:
-        cfg = ExperimentConfig(experiment=command, **opts)
+        cfg = config_class(**opts)
     except ValueError as exc:
         parser.error(f"{command}: {exc}")
-    report = EXPERIMENTS[command](cfg)
+    report = experiment(cfg)
     if out:
         emit_report(report, out, fmt)
     for flag, value in report.passed.items():

@@ -28,6 +28,14 @@ class RankDeficiencyError(ArithmeticError):
     """A factor or iterate lost the rank the manifold requires."""
 
 
+def _check_rank_triple(ranks) -> None:
+    """Refuse ranks no third-order tensor has: its mode-n unfolding has r_m * r_k columns."""
+    for n in MODES:
+        if ranks[n] > ranks[(n + 1) % 3] * ranks[(n + 2) % 3]:
+            raise ValueError(f"no third-order tensor has ranks {tuple(ranks)}: "
+                             f"rank {n} exceeds the product of the other two")
+
+
 @dataclass(frozen=True)
 class StiefelPoint:
     """An n x p matrix with orthonormal columns."""
@@ -62,6 +70,7 @@ class TuckerPoint:
                     f"factor {mode} has {self.factors[mode].shape[1]} columns, "
                     f"core dim is {core.shape[mode]}"
                 )
+        _check_rank_triple(core.shape)
 
     @property
     def ranks(self) -> Ranks3:
@@ -107,15 +116,17 @@ def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
     """Random low-rank target plus an optionally perturbed starting instance.
 
     The target is a random core pushed through random orthonormal factors,
-    so its multilinear rank equals true_ranks exactly; the instance adds
+    so its multilinear rank equals true_ranks exactly (ranks with some
+    r_n > r_m * r_k fit no tensor and are refused); the instance adds
     noise_floor times a unit-variance entrywise perturbation.
     """
     shape = tuple(int(s) for s in shape)
     true_ranks = tuple(int(r) for r in true_ranks)
     if any(r > d for r, d in zip(true_ranks, shape)) or any(r < 1 for r in true_ranks):
         raise ValueError(f"ranks {true_ranks} invalid for shape {shape}")
-    if noise_floor < 0:
-        raise ValueError("noise_floor must be nonnegative")
+    _check_rank_triple(true_ranks)
+    if not 0 <= noise_floor < np.inf:
+        raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor}")
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(true_ranks)
     mats = tuple(

@@ -56,8 +56,11 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta0 <= 0 or self.k0 <= 0:
-            raise ValueError("eta0 and k0 must be positive")
+        # Written so that nan fails them; k0 = inf is a constant step.
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
+        if not self.k0 > 0:
+            raise ValueError(f"k0 must be positive, got {self.k0}")
 
 
 def step_size(k: int, schedule: StepSchedule) -> float:
@@ -177,6 +180,8 @@ def run_cqd(
         raise ValueError("iters must be at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
+    if not 0 < eps0 < 1:
+        raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
     if agg not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
     if x0.shape != task.target.shape:

@@ -1,6 +1,7 @@
 """Simulated noisy oracle: the hidden target plus counter-keyed Gaussian noise."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,8 +21,8 @@ class OracleConfig:
     seed: int
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in uint64")
 

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from cqd.bench_cli import (
-    ExperimentConfig,
+    ConvergeConfig,
+    EnsembleConfig,
+    ProjOptConfig,
+    RateDistConfig,
+    TailBoundConfig,
     _convergence_run,
     exp_convergence,
     exp_ensemble_variance,
@@ -43,9 +47,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_projector_optimality():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        experiment="projopt", shape=(6, 8), ranks=(2,), seeds=tuple(range(20)), n_projectors=500
-    )
+    cfg = ProjOptConfig(shape=(6, 8), ranks=(2,), seeds=tuple(range(20)), n_projectors=500)
     rep = exp_projector_optimality(cfg)
     violations = sum(row["violations"] for row in rep.rows)
     elapsed = time.perf_counter() - start
@@ -58,7 +60,7 @@ def test_criterion_01_projector_optimality():
 
 def test_criterion_02_tail_bound_all_rank_triples():
     start = time.perf_counter()
-    cfg = ExperimentConfig(experiment="tailbound", shape=(5, 5, 5), seeds=(19,), n_instances=100)
+    cfg = TailBoundConfig(shape=(5, 5, 5), seeds=(19,), n_instances=100)
     rep = exp_tail_bound(cfg)
     violations = sum(row["violations"] for row in rep.rows)
     checked = sum(row["n_triples"] for row in rep.rows)
@@ -118,7 +120,7 @@ def test_criterion_05_convergence_desk_scale():
     start = time.perf_counter()
     # Defaults: 6^3, ranks (2,2,2), sigma 0.1, Robbins-Monro eta0 0.5 and
     # k0 100, 5000 iterations, eps0 0.1, tau 27.
-    cfg = ExperimentConfig(experiment="converge")
+    cfg = ConvergeConfig()
     noisy = [_convergence_run(cfg, seed, "rm_noisy") for seed in range(10)]
     assert all(row["error"] == "" for row in noisy)
     median_min = float(np.median([row["min_running_grad_sq"] for row in noisy]))
@@ -140,9 +142,7 @@ def test_criterion_05_convergence_desk_scale():
 
 
 def test_criterion_06_ensemble_variance_reduction():
-    cfg = ExperimentConfig(
-        experiment="ensemble", sigma=0.5, seeds=(31,), trials=2000, m_values=(1, 4, 16, 64)
-    )
+    cfg = EnsembleConfig(sigma=0.5, seeds=(31,), trials=2000, m_values=(1, 4, 16, 64))
     rep = exp_ensemble_variance(cfg)
     variances = [row["variance"] for row in rep.rows]
     in_band = rep.passed["ratio_in_band"]
@@ -221,7 +221,7 @@ def test_criterion_08_wire_format():
 
 
 def test_criterion_09_rate_distortion_frontier():
-    cfg = ExperimentConfig(experiment="ratedist", seeds=tuple(range(10)), grid_points=50)
+    cfg = RateDistConfig(seeds=tuple(range(10)), grid_points=50)
     rep = exp_rate_distortion(cfg)
     report(
         "criterion 9 (rate-distortion frontier)",
@@ -235,23 +235,23 @@ def test_criterion_10_experiment_determinism(tmp_path):
     configs = {
         "projopt": (
             exp_projector_optimality,
-            ExperimentConfig(experiment="projopt", shape=(6, 8), ranks=(2,), seeds=(0, 1), n_projectors=50),
+            ProjOptConfig(shape=(6, 8), ranks=(2,), seeds=(0, 1), n_projectors=50),
         ),
         "tailbound": (
             exp_tail_bound,
-            ExperimentConfig(experiment="tailbound", seeds=(0,), n_instances=5),
+            TailBoundConfig(shape=(6, 6, 6), seeds=(0,), n_instances=5),
         ),
         "converge": (
             exp_convergence,
-            ExperimentConfig(experiment="converge", seeds=(0,), iters=300),
+            ConvergeConfig(seeds=(0,), iters=300),
         ),
         "ratedist": (
             exp_rate_distortion,
-            ExperimentConfig(experiment="ratedist", seeds=(0, 1), grid_points=20),
+            RateDistConfig(seeds=(0, 1), grid_points=20),
         ),
         "ensemble": (
             exp_ensemble_variance,
-            ExperimentConfig(experiment="ensemble", sigma=0.5, seeds=(0,), trials=200, m_values=(1, 4)),
+            EnsembleConfig(sigma=0.5, seeds=(0,), trials=200, m_values=(1, 4)),
         ),
     }
     identical = True

@@ -12,8 +12,12 @@ import pytest
 
 import cqd.bench_cli as bench_cli
 from cqd.bench_cli import (
-    ExperimentConfig,
+    ConvergeConfig,
+    EnsembleConfig,
+    ProjOptConfig,
+    RateDistConfig,
     Report,
+    TailBoundConfig,
     emit_report,
     exp_convergence,
     exp_ensemble_variance,
@@ -52,11 +56,18 @@ def test_gen_synthetic_validates_ranks():
         gen_synthetic((3, 3, 3), (4, 2, 2), 0.0, 0)
 
 
+@pytest.mark.parametrize("noise_floor", [-0.1, float("nan"), float("inf")])
+def test_gen_synthetic_rejects_noise_floors_that_are_not_finite_and_nonnegative(noise_floor):
+    # nan used to pass `noise_floor < 0` and give the unperturbed target.
+    with pytest.raises(ValueError, match="noise_floor"):
+        gen_synthetic((3, 3, 3), (2, 2, 2), noise_floor, 0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="x", seeds=())
+        ConvergeConfig(seeds=())
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="x", shape=(0, 2, 2))
+        ConvergeConfig(shape=(0, 2, 2))
 
 
 # A count below 1 leaves an experiment nothing to check, so its report would
@@ -66,8 +77,17 @@ def test_config_validation():
     ("n_instances", 0), ("m_values", ()), ("m_values", (1, 0)), ("iters", -1),
 ])
 def test_config_rejects_counts_below_one(field, value):
-    with pytest.raises(ValueError, match="at least 1|non-empty"):
-        ExperimentConfig(experiment="x", **{field: value})
+    for config_class, _ in bench_cli.EXPERIMENTS.values():
+        if field in {f.name for f in dataclasses.fields(config_class)}:
+            with pytest.raises(ValueError, match="at least 1|non-empty"):
+                config_class(**{field: value})
+
+
+def test_an_experiment_refuses_another_experiments_config():
+    # A converge config has no n_instances, so the tail-bound experiment
+    # cannot run on it, cut down to its first seed and a cube of side 4.
+    with pytest.raises(AttributeError, match="n_instances"):
+        exp_tail_bound(ConvergeConfig(shape=(4, 2, 2), seeds=(3, 4, 5)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -87,6 +107,15 @@ def test_config_rejects_counts_below_one(field, value):
     pytest.param(["tailbound", "--shape", "4,1,1"], id="tailbound --shape 4,1,1"),
     pytest.param(["tailbound", "--shape", "4"], id="tailbound --shape 4"),
     ["projopt", "--ranks", "2,5,7"],
+    # Values that used to fail inside the run with a traceback (exit 1).
+    pytest.param(["converge", "--sigma", "nan"], id="converge --sigma nan"),
+    pytest.param(["ensemble", "--sigma", "inf"], id="ensemble --sigma inf"),
+    pytest.param(["converge", "--eps", "0"], id="converge --eps 0"),
+    pytest.param(["ensemble", "--eps", "1"], id="ensemble --eps 1"),
+    pytest.param(["converge", "--ranks", "1,2,3"], id="converge --ranks 1,2,3"),
+    pytest.param(["projopt", "--seed-list=-1"], id="projopt --seed-list=-1"),
+    pytest.param(["converge", "--noise-floor", "-1"], id="converge --noise-floor -1"),
+    pytest.param(["ratedist", "--lambda", "nan"], id="ratedist --lambda nan"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -98,9 +127,7 @@ def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
 
 
 def test_projector_optimality_experiment():
-    cfg = ExperimentConfig(
-        experiment="projopt", shape=(6, 8), ranks=(2,), seeds=(0, 1, 2), n_projectors=100
-    )
+    cfg = ProjOptConfig(shape=(6, 8), ranks=(2,), seeds=(0, 1, 2), n_projectors=100)
     report = exp_projector_optimality(cfg)
     assert report.ok
     assert len(report.rows) == 3
@@ -109,9 +136,7 @@ def test_projector_optimality_experiment():
 
 
 def test_projector_optimality_full_rank_trivial():
-    cfg = ExperimentConfig(
-        experiment="projopt", shape=(4, 6), ranks=(4,), seeds=(0,), n_projectors=20
-    )
+    cfg = ProjOptConfig(shape=(4, 6), ranks=(4,), seeds=(0,), n_projectors=20)
     report = exp_projector_optimality(cfg)
     assert report.ok
     assert report.rows[0]["optimal_residual_sq"] <= 1e-18
@@ -133,9 +158,7 @@ def test_projector_optimality_on_exact_rank_matrix():
 
 
 def test_tail_bound_experiment():
-    cfg = ExperimentConfig(
-        experiment="tailbound", shape=(4, 4, 4), ranks=(2, 2, 2), seeds=(0,), n_instances=8
-    )
+    cfg = TailBoundConfig(shape=(4, 4, 4), seeds=(0,), n_instances=8)
     report = exp_tail_bound(cfg)
     assert report.ok
     assert len(report.rows) == 8
@@ -143,7 +166,7 @@ def test_tail_bound_experiment():
 
 
 def test_convergence_experiment_small():
-    cfg = ExperimentConfig(experiment="converge", seeds=(0, 1), iters=600)
+    cfg = ConvergeConfig(seeds=(0, 1), iters=600)
     report = exp_convergence(cfg)
     assert report.ok
     assert len(report.rows) == 2 * 3  # seeds x variants
@@ -156,7 +179,7 @@ def test_convergence_experiment_small():
 
 
 def test_rate_distortion_experiment():
-    cfg = ExperimentConfig(experiment="ratedist", seeds=(0, 1), grid_points=20)
+    cfg = RateDistConfig(seeds=(0, 1), grid_points=20)
     report = exp_rate_distortion(cfg)
     assert report.ok
     assert len(report.rows) == 2 * 20
@@ -171,9 +194,7 @@ def test_rate_distortion_experiment():
 
 
 def test_ensemble_variance_experiment():
-    cfg = ExperimentConfig(
-        experiment="ensemble", sigma=0.5, seeds=(0,), trials=400, m_values=(1, 4, 16)
-    )
+    cfg = EnsembleConfig(sigma=0.5, seeds=(0,), trials=400, m_values=(1, 4, 16))
     report = exp_ensemble_variance(cfg)
     assert report.ok
     variances = [r["variance"] for r in report.rows]
@@ -183,9 +204,7 @@ def test_ensemble_variance_experiment():
 
 
 def test_ensemble_zero_noise_all_zero_variance():
-    cfg = ExperimentConfig(
-        experiment="ensemble", sigma=0.0, seeds=(0,), trials=10, m_values=(1, 4)
-    )
+    cfg = EnsembleConfig(sigma=0.0, seeds=(0,), trials=10, m_values=(1, 4))
     report = exp_ensemble_variance(cfg)
     assert all(r["variance"] == 0.0 for r in report.rows)
     # zero expected variance: band check is skipped, decrease cannot be strict
@@ -193,9 +212,7 @@ def test_ensemble_zero_noise_all_zero_variance():
 
 
 def test_emit_report_csv_and_json_round_trip(tmp_path):
-    cfg = ExperimentConfig(
-        experiment="projopt", shape=(6, 8), ranks=(2,), seeds=(0,), n_projectors=10
-    )
+    cfg = ProjOptConfig(shape=(6, 8), ranks=(2,), seeds=(0,), n_projectors=10)
     report = exp_projector_optimality(cfg)
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"
@@ -226,9 +243,7 @@ def test_emit_report_empty_rows_header_only(tmp_path):
 
 
 def test_emit_report_deterministic_bytes(tmp_path):
-    cfg = ExperimentConfig(
-        experiment="ratedist", seeds=(0,), grid_points=10
-    )
+    cfg = RateDistConfig(seeds=(0,), grid_points=10)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(exp_rate_distortion(cfg), p1, "json")
     emit_report(exp_rate_distortion(cfg), p2, "json")
@@ -269,21 +284,17 @@ def test_cli_seed_and_shape_parsing(tmp_path):
     assert text.startswith("instance,shape,n_triples,violations,max_slack_ratio")
 
 
-# What each subcommand parsed to before the parser was built from
-# ExperimentConfig's fields, spelled out field by field.
-_COMMON = dict(
-    shape=(6, 6, 6), ranks=(2, 2, 2), sigma=0.1, seeds=tuple(range(10)), iters=5000, eps0=0.1,
-    tau=27, lam=0.1, noise_floor=0.1, eta0=0.5, k0=100.0, grid_points=50, trials=2000,
-    n_projectors=500, n_instances=100, m_values=(1, 4, 16, 64),
-)
+# Each subcommand's config at its defaults, spelled out field by field, so
+# that no default changes unnoticed.
+_SYNTHETIC = dict(shape=(6, 6, 6), ranks=(2, 2, 2), seeds=tuple(range(10)), noise_floor=0.1)
 PINNED_DEFAULTS = {
-    "projopt": dict(_COMMON, shape=(6, 8), ranks=(2,), seeds=tuple(range(20))),
-    "tailbound": dict(_COMMON, shape=(5, 5, 5), seeds=(0,)),
-    "converge": _COMMON,
-    "ratedist": _COMMON,
-    "ensemble": dict(_COMMON, sigma=0.5),
+    "projopt": dict(shape=(6, 8), ranks=(2,), seeds=tuple(range(20)), n_projectors=500),
+    "tailbound": dict(shape=(5, 5, 5), seeds=(0,), n_instances=100),
+    "converge": dict(_SYNTHETIC, sigma=0.1, iters=5000, eps0=0.1, tau=27),
+    "ratedist": dict(_SYNTHETIC, lam=0.1, grid_points=50),
+    "ensemble": dict(_SYNTHETIC, sigma=0.5, eps0=0.1, trials=2000, m_values=(1, 4, 16, 64)),
 }
-# Each subcommand's flags: one per ExperimentConfig field its experiment reads.
+# Each subcommand's flags: one per field of its config class.
 OWN_FLAGS = {
     "projopt": {"--shape", "--ranks", "--seed-list", "--projectors"},
     "tailbound": {"--shape", "--seed-list", "--instances"},
@@ -310,10 +321,15 @@ FLAG_VALUES = {
     "--instances": ("14", "n_instances", 14),
     "--m-list": ("2,3", "m_values", (2, 3)),
 }
-# projopt takes a matrix and one rank, tailbound one seed and a cube.
+# projopt takes a matrix and one rank, tailbound one seed and a cube, and the
+# others ranks some tensor has: no rank above the product of the other two.
+_RANKS_122 = {"--ranks": ("1,2,2", "ranks", (1, 2, 2))}
 FLAG_VALUES_FOR = {
     "projopt": {"--shape": ("4,5", "shape", (4, 5)), "--ranks": ("3", "ranks", (3,))},
     "tailbound": {"--shape": ("4,4,4", "shape", (4, 4, 4)), "--seed-list": ("3", "seeds", (3,))},
+    "converge": _RANKS_122,
+    "ratedist": _RANKS_122,
+    "ensemble": _RANKS_122,
 }
 
 
@@ -329,9 +345,10 @@ def run_main(monkeypatch, argv):
 
     def experiment(cfg):
         seen["cfg"] = cfg
-        return Report(cfg.experiment, {}, ())
+        return Report(argv[0], {}, ())
 
-    monkeypatch.setitem(bench_cli.EXPERIMENTS, argv[0], experiment)
+    config_class, _ = bench_cli.EXPERIMENTS[argv[0]]
+    monkeypatch.setitem(bench_cli.EXPERIMENTS, argv[0], (config_class, experiment))
     monkeypatch.setattr(bench_cli, "emit_report", lambda report, path, fmt: seen.update(out=(path, fmt)))
     assert main(argv) == 0
     return seen
@@ -340,7 +357,8 @@ def run_main(monkeypatch, argv):
 @pytest.mark.parametrize("name", sorted(PINNED_DEFAULTS))
 def test_cli_defaults_are_pinned(monkeypatch, name):
     cfg = run_main(monkeypatch, [name])["cfg"]
-    assert typed(cfg) == typed(dict(PINNED_DEFAULTS[name], experiment=name))
+    assert type(cfg) is bench_cli.EXPERIMENTS[name][0]
+    assert typed(cfg) == typed(PINNED_DEFAULTS[name])
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DEFAULTS))
@@ -363,7 +381,7 @@ def test_cli_every_flag_lands_in_its_field(monkeypatch):
     for name, flags in OWN_FLAGS.items():
         values = {**FLAG_VALUES, **FLAG_VALUES_FOR.get(name, {})}
         argv = [name, "--out", "x.csv", "--format", "csv"]
-        expected = dict(PINNED_DEFAULTS[name], experiment=name)
+        expected = dict(PINNED_DEFAULTS[name])
         for flag in sorted(flags):
             text, field_name, value = values[flag]
             argv += [flag, text]
@@ -388,9 +406,9 @@ def config_fields_read(name: str, defs: dict) -> set:
 
 
 def test_each_subcommand_flags_exactly_the_fields_its_experiment_reads():
-    # eta0 and k0 are read by converge but have no flag.
+    # A subcommand's flags are its config class's fields.
     module = ast.parse(inspect.getsource(bench_cli))
     defs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
-    for name, fn in bench_cli.EXPERIMENTS.items():
-        read = config_fields_read(fn.__name__, defs) - {"eta0", "k0"}
-        assert read == set(bench_cli._FLAGGED[name]), name
+    for name, (config_class, fn) in bench_cli.EXPERIMENTS.items():
+        read = config_fields_read(fn.__name__, defs)
+        assert read == {f.name for f in dataclasses.fields(config_class)}, name

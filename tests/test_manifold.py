@@ -8,6 +8,7 @@ from cqd.manifold import (
     StiefelPoint,
     TuckerPoint,
     TuckerTangent,
+    gen_synthetic,
     hosvd_gauge,
     qr_retraction,
     riemannian_grad_tucker,
@@ -325,6 +326,19 @@ def test_tucker_from_tensor_rejects_rank_above_dimension():
     # The range is checked for every mode before any SVD runs.
     with pytest.raises(ValueError, match="mode 1"):
         tucker_from_tensor(np.zeros((5, 6, 7)), (2, 7, 2))
+
+
+def test_ranks_no_tensor_has_are_refused():
+    # Rank 3 for mode 2 needs at least 3 columns in its unfolding, which a
+    # 1 x 2 x 3 core does not have: no tensor has multilinear rank (1, 2, 3).
+    rng = np.random.default_rng(25)
+    with pytest.raises(ValueError, match="no third-order tensor has ranks"):
+        gen_synthetic((4, 5, 6), (1, 2, 3), 0.1, 0)
+    with pytest.raises(ValueError, match="no third-order tensor has ranks"):
+        tucker_from_tensor(rng.standard_normal((4, 5, 6)), (1, 2, 3))
+    factors = tuple(random_stiefel(rng, 5, r) for r in (3, 1, 2))
+    with pytest.raises(ValueError, match="no third-order tensor has ranks"):
+        TuckerPoint(core=rng.standard_normal((3, 1, 2)), factors=factors)
 
 
 def test_tucker_from_tensor_collapse_names_mode_and_position():

@@ -56,6 +56,20 @@ def test_schedule_validation():
         step_size(-1, RM)
 
 
+@pytest.mark.parametrize("eta0, k0", [
+    (float("nan"), 100.0), (float("inf"), 100.0), (0.5, float("nan")),
+], ids=["eta0-nan", "eta0-inf", "k0-nan"])
+def test_schedule_rejects_non_finite_values(eta0, k0):
+    # Each used to end the run at k=0 with an SVD that did not converge.
+    with pytest.raises(ValueError, match="eta0|k0"):
+        StepSchedule("robbins_monro", eta0, k0)
+
+
+def test_infinite_k0_is_a_constant_step():
+    s = StepSchedule("robbins_monro", 0.5, float("inf"))
+    assert step_size(0, s) == step_size(10**6, s) == 0.5
+
+
 def test_robbins_monro_series_conditions():
     ks = np.arange(10**6, dtype=np.float64)
     etas = RM.eta0 / (1.0 + ks / RM.k0)
@@ -251,8 +265,12 @@ def test_task_spec_tau_is_required_and_at_least_one():
         ({"agg": "mode"}, "aggregator"),
         # Used to escape the loop at k=0 as numpy's broadcast error.
         ({"target_shape": (5, 6, 6)}, "x0 shape"),
+        # Used to escape the loop from the mask stage at k=0, with no trace.
+        ({"eps0": 0.0}, "eps0"),
+        ({"eps0": 1.0}, "eps0"),
+        ({"eps0": float("nan")}, "eps0"),
     ],
-    ids=["iters", "m", "agg", "x0-shape"],
+    ids=["iters", "m", "agg", "x0-shape", "eps0-0", "eps0-1", "eps0-nan"],
 )
 def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, match):
     import cqd.optimizer as optimizer
@@ -262,12 +280,12 @@ def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, ma
 
     monkeypatch.setattr(optimizer, "SimulatedOracle", no_oracle)
     monkeypatch.setattr(optimizer, "ensemble_infer", no_oracle)
-    args = {"iters": 5, "m": 1, "agg": "mean", "target_shape": (6, 6, 6), **change}
+    args = {"iters": 5, "m": 1, "agg": "mean", "target_shape": (6, 6, 6), "eps0": 0.1, **change}
     x0, _ = setup_problem(19)
     _, target = gen_synthetic(args["target_shape"], (2, 2, 2), 0.1, 19)
     task = TaskSpec(target=target, tau=27)
     with pytest.raises(ValueError, match=match):
-        run_cqd(x0, task, OracleConfig(0.1, 19), RM, 0.1, args["iters"], args["m"], args["agg"])
+        run_cqd(x0, task, OracleConfig(0.1, 19), RM, args["eps0"], args["iters"], args["m"], args["agg"])
 
 
 def test_iterate_hook_sees_every_iterate():

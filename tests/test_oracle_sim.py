@@ -170,6 +170,13 @@ def test_config_validation():
             OracleConfig(0.1, seed)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_sigma(sigma):
+    # nan used to pass `sigma < 0` and fail the run's first projection.
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        OracleConfig(sigma, 0)
+
+
 def test_aggregate_single_and_symmetry():
     x = np.arange(6.0).reshape(1, 2, 3)
     assert np.array_equal(aggregate([x], "mean"), x)
