@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import _check_rank_triple, gen_synthetic, qr_retraction, tucker_from_tensor
+from .manifold import _check_ranks, gen_synthetic, qr_retraction, tucker_from_tensor
 from .optimizer import StepSchedule, TaskSpec, run_cqd
 from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
-from .query_codec import encode
-from .spectral_masking import asm_compress, budget, mask_factorization, masked_tensor
+from .query_codec import _MAX_U32, _MAX_U64, encode
+from .spectral_masking import asm_compress, budget, mask_factorization
 from .tensor_core import hosvd, tail_energy, truncated_reconstruct
 
 # Pass/fail thresholds for the certification experiments.
@@ -45,12 +45,17 @@ _NONNEGATIVE = ("sigma", "noise_floor", "lam")
 class _Config:
     """Base of the experiment configs: each field is checked by its name when built."""
 
+    # The largest seed an experiment can carry; a query header holds it in a fixed width.
+    _max_seed = math.inf
+
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
             if name == "shape" and not all(d > 0 for d in value):
                 raise ValueError("shape entries must be positive")
             if name == "seeds" and not (value and min(value) >= 0):
                 raise ValueError("seed list must be non-empty and every seed at least 0")
+            if name == "seeds" and max(value) > self._max_seed:
+                raise ValueError(f"a seed above {self._max_seed} does not fit the query header")
             if name == "m_values" and not (value and min(value) >= 1):
                 raise ValueError("m list must be non-empty and every m at least 1")
             if name in _COUNTS and value < 1:
@@ -101,13 +106,12 @@ class _SyntheticConfig(_Config):
         super().__post_init__()
         if len(self.shape) != 3 or len(self.ranks) != 3:
             raise ValueError("expected three shape entries and three ranks")
-        if any(not 1 <= r <= d for r, d in zip(self.ranks, self.shape)):
-            raise ValueError(f"ranks {self.ranks} invalid for shape {self.shape}")
-        _check_rank_triple(self.ranks)
+        _check_ranks(self.shape, self.ranks)
 
 
 @dataclass(frozen=True)
 class ConvergeConfig(_SyntheticConfig):
+    _max_seed = _MAX_U32  # each run's task_id
     sigma: float = 0.1
     iters: int = 5000
     eps0: float = 0.1
@@ -122,6 +126,7 @@ class RateDistConfig(_SyntheticConfig):
 
 @dataclass(frozen=True)
 class EnsembleConfig(_SyntheticConfig):
+    _max_seed = _MAX_U64  # the query's seed
     sigma: float = 0.5
     eps0: float = 0.1
     trials: int = 2000
@@ -230,11 +235,9 @@ def _convergence_run(cfg: ConvergeConfig, seed: int, variant: str) -> dict:
     elif variant == "deterministic":
         schedule = StepSchedule("constant", DETERMINISTIC_ETA)
         sigma, iters = 0.0, DETERMINISTIC_MAX_ITERS
-    elif variant == "negative_control":
+    else:  # negative_control
         schedule = StepSchedule("constant", NEGATIVE_CONTROL_ETA)
         sigma, iters = 0.0, NEGATIVE_CONTROL_ITERS
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     task = TaskSpec(target=target, tau=cfg.tau, task_id=seed)
     _, trace = run_cqd(
         x0, task, OracleConfig(sigma, seed), schedule, cfg.eps0, iters
@@ -294,11 +297,11 @@ def exp_rate_distortion(cfg: RateDistConfig) -> Report:
         prev_distortion = None
         # Grid descends in eps so budget grows and distortion shrinks row to row.
         for idx, eps in enumerate(sorted(grid, reverse=True)):
-            cs = mask_factorization(f, float(eps))
-            b = budget(cs.ranks)
-            distortion = float(np.sum((instance - masked_tensor(cs)) ** 2))
+            ranks = mask_factorization(f, float(eps))
+            b = budget(ranks)
+            distortion = float(np.sum((instance - truncated_reconstruct(f, ranks)) ** 2))
             report.rows.append({"seed": seed, "grid_index": idx, "eps": float(eps),
-                                "r1": cs.ranks[0], "r2": cs.ranks[1], "r3": cs.ranks[2],
+                                "r1": ranks[0], "r2": ranks[1], "r3": ranks[2],
                                 "budget": b, "distortion": distortion,
                                 "lagrangian": distortion + cfg.lam * b})
             if prev_budget is not None:

@@ -28,8 +28,11 @@ class RankDeficiencyError(ArithmeticError):
     """A factor or iterate lost the rank the manifold requires."""
 
 
-def _check_rank_triple(ranks) -> None:
-    """Refuse ranks no third-order tensor has: its mode-n unfolding has r_m * r_k columns."""
+def _check_ranks(shape, ranks) -> None:
+    """Refuse ranks outside [1, I_n], and ranks no third-order tensor has (its
+    mode-n unfolding has r_m * r_k columns, so r_n <= r_m * r_k)."""
+    if any(not 1 <= r <= d for r, d in zip(ranks, shape)):
+        raise ValueError(f"ranks {tuple(ranks)} invalid for shape {tuple(shape)}")
     for n in MODES:
         if ranks[n] > ranks[(n + 1) % 3] * ranks[(n + 2) % 3]:
             raise ValueError(f"no third-order tensor has ranks {tuple(ranks)}: "
@@ -70,7 +73,7 @@ class TuckerPoint:
                     f"factor {mode} has {self.factors[mode].shape[1]} columns, "
                     f"core dim is {core.shape[mode]}"
                 )
-        _check_rank_triple(core.shape)
+        _check_ranks(self.shape, core.shape)
 
     @property
     def ranks(self) -> Ranks3:
@@ -122,9 +125,7 @@ def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
     """
     shape = tuple(int(s) for s in shape)
     true_ranks = tuple(int(r) for r in true_ranks)
-    if any(r > d for r, d in zip(true_ranks, shape)) or any(r < 1 for r in true_ranks):
-        raise ValueError(f"ranks {true_ranks} invalid for shape {shape}")
-    _check_rank_triple(true_ranks)
+    _check_ranks(shape, true_ranks)
     if not 0 <= noise_floor < np.inf:
         raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor}")
     rng = np.random.default_rng(seed)

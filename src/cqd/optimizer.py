@@ -19,7 +19,7 @@ from .manifold import (
     tucker_to_tensor,
 )
 from .oracle_sim import AGGREGATORS, OracleConfig, SimulatedOracle, ensemble_infer
-from .query_codec import encode
+from .query_codec import _MAX_U32, encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
 from .tensor_core import Ranks3, as_tensor3
 
@@ -32,6 +32,7 @@ class TaskSpec:
 
     tau, the cap on the query budget r1 * r2 * r3, is keyword-only and has
     no default; it must be at least 1, the budget of the smallest mask.
+    task_id goes into every query's header, so it must fit in a uint32.
     """
 
     target: np.ndarray
@@ -43,6 +44,8 @@ class TaskSpec:
         object.__setattr__(self, "target", as_tensor3(self.target))
         if self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
+        if not 0 <= self.task_id <= _MAX_U32:
+            raise ValueError(f"task_id must fit in uint32, got {self.task_id}")
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,11 @@ def run_cqd(
             good = x
             stage = "mask"
             gauged, h = hosvd_gauge(x)
-            cs, eps = compress_within_budget(h, eps, task.tau)
-            achieved = budget(cs.ranks)
+            ranks, eps = compress_within_budget(h, eps, task.tau)
+            achieved = budget(ranks)
             stage = "oracle"
-            query = encode(cs, task.task_id, oracle_cfg.seed, eps)
+            r1, r2, r3 = ranks
+            query = encode(h.core[:r1, :r2, :r3], task.task_id, oracle_cfg.seed, eps)
             response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
             eta = step_size(k, schedule)
 
@@ -226,7 +230,7 @@ def run_cqd(
                     k=k,
                     loss=loss,
                     grad_norm_sq=grad_norm_sq,
-                    ranks=cs.ranks,
+                    ranks=ranks,
                     budget=achieved,
                     eta=eta,
                     eps=eps,

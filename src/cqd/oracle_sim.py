@@ -137,14 +137,16 @@ def ensemble_infer(
         raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
     if m == 1:  # aggregate of a singleton is itself, for either method
         return oracle.infer(query, draw_start)
-    echoes = []
+    echo = 0
 
     def payloads():
+        nonlocal echo
         for i in range(m):
             response = oracle.infer(query, draw_start + i)
-            echoes.append(response.query_checksum_echo)
+            if i == 0:  # every draw decodes the same query, so echoes the same checksum
+                echo = response.query_checksum_echo
             yield response.payload
             del response
 
     payload = aggregate(payloads(), agg)
-    return OracleResponse(payload=payload, query_checksum_echo=echoes[0], draws_used=m)
+    return OracleResponse(payload=payload, query_checksum_echo=echo, draws_used=m)

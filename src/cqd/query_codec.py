@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_masking import CompressedState
 from .tensor_core import Ranks3
 
 VERSION = 1
@@ -66,13 +65,13 @@ class DecodedQuery:
     checksum: int
 
 
-def encode(cs: CompressedState, task_id: int, seed: int, eps_rel: float) -> bytes:
-    """Serialize a compressed state; deterministic for equal inputs."""
-    core = np.ascontiguousarray(cs.masked_core, dtype="<f8")
-    ranks = core.shape  # the header's ranks are those of the core it carries
-    for r in ranks:
-        if r > _MAX_RANK:
-            raise CapacityError(f"rank {r} exceeds uint16 capacity")
+def encode(core, task_id: int, seed: int, eps_rel: float) -> bytes:
+    """Serialize a masked core and its metadata; deterministic for equal inputs."""
+    core = np.ascontiguousarray(core, dtype="<f8")
+    # The header's ranks are those of the core it carries; any other ndim raises ValueError.
+    r1, r2, r3 = core.shape
+    if max(r1, r2, r3) > _MAX_RANK:
+        raise CapacityError(f"ranks {core.shape} exceed uint16 capacity")
     if not 0 <= int(task_id) <= _MAX_U32:
         raise CapacityError(f"task_id {task_id} does not fit in uint32")
     if not 0 <= int(seed) <= _MAX_U64:
@@ -80,9 +79,7 @@ def encode(cs: CompressedState, task_id: int, seed: int, eps_rel: float) -> byte
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError(f"eps_rel must lie in [0, 1), got {eps_rel}")
     eps_micro = int(round(eps_rel * 1e6))
-    header = _HEADER.pack(
-        VERSION, ranks[0], ranks[1], ranks[2], eps_micro, int(task_id), int(seed)
-    )
+    header = _HEADER.pack(VERSION, r1, r2, r3, eps_micro, int(task_id), int(seed))
     body = header + core.tobytes()
     return body + _CRC.pack(zlib.crc32(body))
 

@@ -169,11 +169,6 @@ def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
     )
 
 
-def reconstruct(f: HosvdFactorization) -> np.ndarray:
-    """Assemble the tensor represented by a factorization."""
-    return _multi_mult(f.core, f.factors)
-
-
 def _check_ranks(f: HosvdFactorization, ranks) -> Ranks3:
     if len(ranks) != 3:
         raise ValueError(f"expected three ranks, got {ranks}")

@@ -36,7 +36,7 @@ from cqd.manifold import (
 from cqd.oracle_sim import OracleConfig, SimulatedOracle
 from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import asm_compress
-from cqd.tensor_core import hosvd, reconstruct
+from cqd.tensor_core import hosvd, truncated_reconstruct
 from tests.test_manifold import negated, random_tangent, random_tucker_point
 
 
@@ -77,7 +77,8 @@ def test_criterion_03_hosvd_exactness():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((4, 5, 6))
-        err = np.linalg.norm(reconstruct(hosvd(x)) - x) / np.linalg.norm(x)
+        f = hosvd(x)
+        err = np.linalg.norm(truncated_reconstruct(f, f.core.shape) - x) / np.linalg.norm(x)
         worst = max(worst, err)
     report(
         "criterion 3 (full-rank reconstruction)",
@@ -184,19 +185,18 @@ def test_criterion_08_wire_format():
         shape = tuple(int(d) for d in rng.integers(2, 7, size=3))
         x = rng.standard_normal(shape)
         eps = float(rng.uniform(0.05, 0.9))
-        cs = asm_compress(x, eps)
+        core = asm_compress(x, eps)
         task_id = int(rng.integers(0, 2**32))
         seed = int(rng.integers(0, 2**63))
-        data = encode(cs, task_id, seed, eps)
-        r1, r2, r3 = cs.ranks
-        if len(data) != 27 + 8 * r1 * r2 * r3:
+        data = encode(core, task_id, seed, eps)
+        if len(data) != 27 + 8 * core.size:
             lengths_ok = False
         dq = decode(data)
         if (
-            dq.ranks == cs.ranks
+            dq.ranks == core.shape
             and dq.task_id == task_id
             and dq.seed == seed
-            and dq.core.tobytes() == np.ascontiguousarray(cs.masked_core).tobytes()
+            and dq.core.tobytes() == np.ascontiguousarray(core).tobytes()
         ):
             round_trips += 1
     # every single-bit corruption of one representative query is rejected

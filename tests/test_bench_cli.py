@@ -116,6 +116,11 @@ def test_an_experiment_refuses_another_experiments_config():
     pytest.param(["projopt", "--seed-list=-1"], id="projopt --seed-list=-1"),
     pytest.param(["converge", "--noise-floor", "-1"], id="converge --noise-floor -1"),
     pytest.param(["ratedist", "--lambda", "nan"], id="ratedist --lambda nan"),
+    # Seeds the query header cannot carry: converge's task_id is a uint32,
+    # ensemble's seed field a uint64.
+    pytest.param(["converge", "--seed-list", "4294967296"], id="converge --seed-list 2**32"),
+    pytest.param(["ensemble", "--seed-list", "18446744073709551616"],
+                 id="ensemble --seed-list 2**64"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -18,8 +18,8 @@ from cqd.optimizer import (
     run_cqd,
     step_size,
 )
-from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization, masked_tensor
-from cqd.tensor_core import hosvd
+from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization
+from cqd.tensor_core import hosvd, truncated_reconstruct
 
 RM = StepSchedule("robbins_monro", 0.5, 100.0)
 
@@ -257,6 +257,16 @@ def test_task_spec_tau_is_required_and_at_least_one():
     assert TaskSpec(target=target, tau=1).tau == 1
 
 
+def test_task_spec_task_id_must_fit_the_query_header():
+    # The header holds task_id as a uint32; outside it, run_cqd used to
+    # raise a raw CapacityError from encode at k=0 and return no trace.
+    target = np.zeros((2, 2, 2))
+    for bad in (-1, 2**32):
+        with pytest.raises(ValueError, match="task_id"):
+            TaskSpec(target=target, tau=1, task_id=bad)
+    assert TaskSpec(target=target, tau=1, task_id=2**32 - 1).task_id == 2**32 - 1
+
+
 @pytest.mark.parametrize(
     "change, match",
     [
@@ -394,12 +404,10 @@ def test_lagrangian_objective_prefers_accepted_configuration():
         accepted = mask_factorization(f, row.eps)
         larger = mask_factorization(f, max(row.eps * EPS_DECREASE, 1e-6))
         obj_accepted = (
-            np.sum((ambient - masked_tensor(accepted)) ** 2)
-            + lam * budget(accepted.ranks)
+            np.sum((ambient - truncated_reconstruct(f, accepted)) ** 2) + lam * budget(accepted)
         )
         obj_larger = (
-            np.sum((ambient - masked_tensor(larger)) ** 2)
-            + lam * budget(larger.ranks)
+            np.sum((ambient - truncated_reconstruct(f, larger)) ** 2) + lam * budget(larger)
         )
         wins += obj_accepted <= obj_larger + 1e-12
     assert wins / len(trace) >= 0.9

@@ -20,9 +20,10 @@ from cqd.manifold import (
     zero_tangent,
 )
 from cqd.query_codec import CodecError, decode, encode
-from cqd.spectral_masking import CompressedState, spectral_mask
+from cqd.spectral_masking import mask_factorization
 from tests.test_factored import SETTINGS, random_point, random_tangent, tucker_cases
 from tests.test_manifold import negated
+from tests.test_spectral_masking import superdiagonal
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 H = 1e-5  # central-difference step of the first-order checks, as in criterion 4
@@ -30,14 +31,12 @@ H = 1e-5  # central-difference step of the first-order checks, as in criterion 4
 
 @st.composite
 def states(draw, max_rank: int = 4):
-    """A compressed state with arbitrary finite core values and the eps it was cut at."""
+    """A masked core with arbitrary finite values and the eps it was cut at."""
     ranks = tuple(draw(st.integers(0, max_rank)) for _ in range(3))
     values = draw(st.lists(FINITE, min_size=int(np.prod(ranks)), max_size=int(np.prod(ranks))))
     core = np.array(values, dtype=np.float64).reshape(ranks)
     eps = draw(st.floats(0.0, 1.0, exclude_max=True))
-    factors = tuple(np.eye(max(r, 1))[:, :r] for r in ranks)
-    cs = CompressedState(core, factors)
-    return cs, eps
+    return core, eps
 
 
 @SETTINGS
@@ -47,17 +46,16 @@ def states(draw, max_rank: int = 4):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_codec_round_trip(state, task_id, seed):
-    cs, eps = state
-    data = encode(cs, task_id, seed, eps)
-    r1, r2, r3 = cs.ranks
-    assert len(data) == 27 + 8 * r1 * r2 * r3
+    core, eps = state
+    data = encode(core, task_id, seed, eps)
+    assert len(data) == 27 + 8 * core.size
     dq = decode(data)
-    assert dq.ranks == cs.ranks
+    assert dq.ranks == core.shape
     assert (dq.task_id, dq.seed) == (task_id, seed)
-    assert dq.core.tobytes() == cs.masked_core.tobytes()  # -0.0 and subnormals too
+    assert dq.core.tobytes() == core.tobytes()  # -0.0 and subnormals too
     assert abs(dq.eps_rel - eps) <= 5e-7  # the 1e-6 fixed-point grid
     assert dq.checksum == zlib.crc32(data[:-4])
-    assert encode(cs, task_id, seed, eps) == data
+    assert encode(core, task_id, seed, eps) == data
 
 
 @SETTINGS
@@ -67,8 +65,8 @@ def test_codec_round_trip(state, task_id, seed):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_every_single_bit_flip_is_rejected(state, task_id, seed):
-    cs, eps = state
-    data = encode(cs, task_id, seed, eps)
+    core, eps = state
+    data = encode(core, task_id, seed, eps)
     for i in range(8 * len(data)):
         corrupted = bytearray(data)
         corrupted[i // 8] ^= 1 << (i % 8)
@@ -86,13 +84,12 @@ def test_every_single_bit_flip_is_rejected(state, task_id, seed):
     eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
 def test_spectral_mask_is_a_ones_prefix(svals, eps):
+    # The svals at or above the threshold lead the sorted list, so the mask
+    # is a ones-prefix per mode and keeps their count as that mode's rank.
     s = np.sort(np.array(svals, dtype=np.float64))[::-1]
-    mask = spectral_mask(s, eps)
-    kept = int(np.count_nonzero(mask))
-    assert mask.shape == s.shape
-    assert np.all(mask[:kept]) and not np.any(mask[kept:])
+    kept = mask_factorization(superdiagonal(s), eps)
     expected = int(np.count_nonzero(s >= eps * s[0])) if s.size and s[0] > 0 else 0
-    assert kept == expected
+    assert kept == (expected,) * 3
 
 
 @SETTINGS

@@ -15,23 +15,17 @@ from cqd.query_codec import (
     decode,
     encode,
 )
-from cqd.spectral_masking import CompressedState, asm_compress
+from cqd.spectral_masking import asm_compress
 
 
-def state_with_ranks(rng, shape=(5, 5, 5), eps=0.3) -> CompressedState:
+def core_with_ranks(rng, shape=(5, 5, 5), eps=0.3) -> np.ndarray:
     return asm_compress(rng.standard_normal(shape), eps)
 
 
-def synthetic_state(core: np.ndarray, factors=None) -> CompressedState:
-    if factors is None:
-        factors = tuple(np.eye(max(r, 1))[:, :r] for r in core.shape)
-    return CompressedState(masked_core=core, masked_factors=factors)
-
-
 def test_empty_ranks_is_27_bytes():
-    cs = asm_compress(np.zeros((3, 3, 3)), 0.2)
-    assert cs.ranks == (0, 0, 0)
-    data = encode(cs, task_id=0, seed=0, eps_rel=0.2)
+    core = asm_compress(np.zeros((3, 3, 3)), 0.2)
+    assert core.shape == (0, 0, 0)
+    data = encode(core, task_id=0, seed=0, eps_rel=0.2)
     assert len(data) == 27
     dq = decode(data)
     assert dq.ranks == (0, 0, 0)
@@ -39,8 +33,7 @@ def test_empty_ranks_is_27_bytes():
 
 
 def test_unit_core_payload_is_ieee754_little_endian():
-    cs = synthetic_state(np.array([[[1.0]]]))
-    data = encode(cs, task_id=0, seed=0, eps_rel=0.5)
+    data = encode(np.array([[[1.0]]]), task_id=0, seed=0, eps_rel=0.5)
     assert data[23:31] == struct.pack("<d", 1.0)
 
 
@@ -49,44 +42,40 @@ def test_golden_bytes_hand_assembled():
     # core value 2.0, eps 0.25, task 7, seed 42.
     hand = struct.pack("<BHHHIIQ", 1, 1, 1, 1, 250000, 7, 42) + struct.pack("<d", 2.0)
     hand += struct.pack("<I", zlib.crc32(hand))
-    cs = synthetic_state(np.array([[[2.0]]]))
-    assert encode(cs, task_id=7, seed=42, eps_rel=0.25) == hand
+    assert encode(np.array([[[2.0]]]), task_id=7, seed=42, eps_rel=0.25) == hand
 
 
 def test_round_trip_bit_exact_on_random_states():
     rng = np.random.default_rng(0)
     for i in range(100):
         eps = float(rng.uniform(0.05, 0.9))
-        cs = state_with_ranks(rng, eps=eps)
+        core = core_with_ranks(rng, eps=eps)
         task_id = int(rng.integers(0, 2**32))
         seed = int(rng.integers(0, 2**63))
-        data = encode(cs, task_id, seed, eps)
-        r1, r2, r3 = cs.ranks
-        assert len(data) == 27 + 8 * r1 * r2 * r3
+        data = encode(core, task_id, seed, eps)
+        assert len(data) == 27 + 8 * core.size
         dq = decode(data)
-        assert dq.ranks == cs.ranks
+        assert dq.ranks == core.shape
         assert dq.task_id == task_id
         assert dq.seed == seed
-        assert dq.core.tobytes() == np.ascontiguousarray(cs.masked_core).tobytes()
+        assert dq.core.tobytes() == np.ascontiguousarray(core).tobytes()
         assert dq.eps_rel == pytest.approx(eps, abs=5e-7)  # 1e-6 fixed-point grid
 
 
 def test_encode_deterministic():
     rng = np.random.default_rng(1)
-    cs = state_with_ranks(rng)
-    assert encode(cs, 3, 4, 0.3) == encode(cs, 3, 4, 0.3)
+    core = core_with_ranks(rng)
+    assert encode(core, 3, 4, 0.3) == encode(core, 3, 4, 0.3)
 
 
 def test_eps_fixed_point_quantization():
-    cs = synthetic_state(np.array([[[0.0]]]))
-    dq = decode(encode(cs, 0, 0, 0.123456789))
+    dq = decode(encode(np.array([[[0.0]]]), 0, 0, 0.123456789))
     assert dq.eps_rel == pytest.approx(0.123457, abs=1e-12)
 
 
 def test_single_bit_flips_always_rejected():
     rng = np.random.default_rng(2)
-    cs = state_with_ranks(rng)
-    data = bytearray(encode(cs, 1, 2, 0.3))
+    data = bytearray(encode(core_with_ranks(rng), 1, 2, 0.3))
     for byte_index in range(len(data)):
         for bit in (0, 7):
             corrupted = bytearray(data)
@@ -97,8 +86,7 @@ def test_single_bit_flips_always_rejected():
 
 def test_payload_flip_is_integrity_error():
     rng = np.random.default_rng(3)
-    cs = state_with_ranks(rng)
-    data = bytearray(encode(cs, 1, 2, 0.3))
+    data = bytearray(encode(core_with_ranks(rng), 1, 2, 0.3))
     data[25] ^= 0x10
     with pytest.raises(IntegrityError):
         decode(bytes(data))
@@ -106,7 +94,7 @@ def test_payload_flip_is_integrity_error():
 
 def test_truncated_and_empty_streams():
     rng = np.random.default_rng(4)
-    data = encode(state_with_ranks(rng), 1, 2, 0.3)
+    data = encode(core_with_ranks(rng), 1, 2, 0.3)
     with pytest.raises(FramingError):
         decode(b"")
     with pytest.raises(FramingError):
@@ -115,7 +103,7 @@ def test_truncated_and_empty_streams():
 
 def test_unknown_version_with_valid_crc():
     rng = np.random.default_rng(5)
-    data = encode(state_with_ranks(rng), 1, 2, 0.3)
+    data = encode(core_with_ranks(rng), 1, 2, 0.3)
     body = bytes([2]) + data[1:-4]
     crafted = body + struct.pack("<I", zlib.crc32(body))
     with pytest.raises(VersionError):
@@ -137,19 +125,21 @@ def test_nonfinite_payload_rejected():
 
 
 def test_capacity_error_on_oversized_rank():
-    core = np.zeros((70000, 1, 1))
-    dummies = (np.zeros((1, 1)),) * 3  # encode reads only ranks and core
-    cs = synthetic_state(core, factors=dummies)
     with pytest.raises(CapacityError):
-        encode(cs, 0, 0, 0.5)
+        encode(np.zeros((70000, 1, 1)), 0, 0, 0.5)
+
+
+def test_encode_refuses_a_core_that_is_not_third_order():
+    with pytest.raises(ValueError):
+        encode(np.zeros((2, 2)), 0, 0, 0.5)
 
 
 def test_capacity_error_on_metadata():
-    cs = synthetic_state(np.array([[[0.0]]]))
+    core = np.array([[[0.0]]])
     with pytest.raises(CapacityError):
-        encode(cs, 2**32, 0, 0.5)
+        encode(core, 2**32, 0, 0.5)
     with pytest.raises(CapacityError):
-        encode(cs, 0, 2**64, 0.5)
+        encode(core, 0, 2**64, 0.5)
 
 
 def test_compression_ratio_illustration():

@@ -13,10 +13,15 @@ from cqd.spectral_masking import (
     budget,
     compress_within_budget,
     mask_factorization,
-    masked_tensor,
-    spectral_mask,
 )
-from cqd.tensor_core import _mode_mult, _multi_mult, hosvd, tail_energy
+from cqd.tensor_core import (
+    HosvdFactorization,
+    _mode_mult,
+    _multi_mult,
+    hosvd,
+    tail_energy,
+    truncated_reconstruct,
+)
 
 
 def low_rank_with_gap(rng, shape=(6, 6, 6), ranks=(2, 2, 2)):
@@ -28,17 +33,31 @@ def low_rank_with_gap(rng, shape=(6, 6, 6), ranks=(2, 2, 2)):
     return _multi_mult(core, mats)
 
 
+def superdiagonal(svals) -> HosvdFactorization:
+    """The HOSVD whose every mode has the singular values `svals`: a superdiagonal core."""
+    s = np.asarray(svals, dtype=np.float64)
+    core = np.zeros((s.size,) * 3)
+    core[np.arange(s.size), np.arange(s.size), np.arange(s.size)] = s
+    return HosvdFactorization(core=core, factors=(np.eye(s.size),) * 3, svals=(s, s, s))
+
+
+def masked(x, eps_rel: float) -> np.ndarray:
+    """The tensor the spectral mask keeps of x: its truncated HOSVD at the masked ranks."""
+    f = hosvd(x)
+    return truncated_reconstruct(f, mask_factorization(f, eps_rel))
+
+
 def test_mask_basic_threshold():
-    assert spectral_mask([10.0, 5.0, 0.5], 0.1).astype(int).tolist() == [1, 1, 0]
+    assert mask_factorization(superdiagonal([10.0, 5.0, 0.5]), 0.1) == (2, 2, 2)
 
 
 def test_mask_keeps_exact_threshold_tie():
     # sigma_i == eps * sigma_1 is kept (inclusive >=)
-    assert spectral_mask([10.0, 1.0, 0.5], 0.1).astype(int).tolist() == [1, 1, 0]
+    assert mask_factorization(superdiagonal([10.0, 1.0, 0.5]), 0.1) == (2, 2, 2)
 
 
 def test_mask_all_equal_svals():
-    assert np.all(spectral_mask([3.0, 3.0, 3.0], 0.99))
+    assert mask_factorization(superdiagonal([3.0, 3.0, 3.0]), 0.99) == (3, 3, 3)
 
 
 def test_mask_zero_state_overrides_literal_indicator():
@@ -46,40 +65,40 @@ def test_mask_zero_state_overrides_literal_indicator():
     # The literal definition keeps everything when sigma_1 == 0 (0 >= 0) ...
     assert np.all(svals >= 0.5 * svals[0])
     # ... but a zero state carries no information, so nothing is kept.
-    assert not np.any(spectral_mask(svals, 0.5))
+    assert mask_factorization(superdiagonal(svals), 0.5) == (0, 0, 0)
 
 
 def test_mask_empty_svals():
-    mask = spectral_mask(np.zeros(0), 0.5)
-    assert mask.size == 0
+    assert mask_factorization(superdiagonal(np.zeros(0)), 0.5) == (0, 0, 0)
 
 
 def test_mask_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="non-increasing"):
+        superdiagonal([1.0, 2.0])  # not descending
+    f = superdiagonal([2.0, 1.0])
     with pytest.raises(ValueError):
-        spectral_mask([1.0, 2.0], 0.5)  # not descending
+        mask_factorization(f, 0.0)  # eps out of range
     with pytest.raises(ValueError):
-        spectral_mask([2.0, 1.0], 0.0)  # eps out of range
-    with pytest.raises(ValueError):
-        spectral_mask([2.0, 1.0], 1.0)
+        mask_factorization(f, 1.0)
 
 
 def test_mask_is_prefix_on_random_spectra():
     rng = np.random.default_rng(0)
     for _ in range(25):
         s = np.sort(rng.random(8))[::-1]
-        mask = spectral_mask(s, float(rng.uniform(0.05, 0.95)))
-        kept = int(np.count_nonzero(mask))
-        assert np.all(mask[:kept]) and not np.any(mask[kept:])
+        eps = float(rng.uniform(0.05, 0.95))
+        kept = mask_factorization(superdiagonal(s), eps)[0]
+        assert np.all(s[:kept] >= eps * s[0]) and np.all(s[kept:] < eps * s[0])
 
 
 def test_asm_recovers_exact_low_rank_with_gap():
     rng = np.random.default_rng(1)
     x = low_rank_with_gap(rng)
-    cs = asm_compress(x, 0.05)
-    assert cs.ranks == (2, 2, 2)
-    assert budget(cs.ranks) == 8
-    assert np.linalg.norm(masked_tensor(cs) - x) <= 1e-9
-    assert cs.masked_core.shape == (2, 2, 2)
+    core = asm_compress(x, 0.05)
+    assert core.shape == (2, 2, 2)
+    assert budget(core.shape) == 8
+    assert np.linalg.norm(masked(x, 0.05) - x) <= 1e-9
+    assert np.array_equal(core, hosvd(x).core[:2, :2, :2])
 
 
 def test_asm_tiny_eps_keeps_everything():
@@ -87,16 +106,16 @@ def test_asm_tiny_eps_keeps_everything():
     x = rng.standard_normal((4, 5, 6))
     f = hosvd(x)
     min_ratio = min(s[-1] / s[0] for s in f.svals)
-    cs = asm_compress(x, min_ratio / 2)
-    assert cs.ranks == (4, 5, 6)
-    assert np.linalg.norm(masked_tensor(cs) - x) <= 1e-12 * np.linalg.norm(x)
+    assert mask_factorization(f, min_ratio / 2) == (4, 5, 6)
+    assert asm_compress(x, min_ratio / 2).shape == (4, 5, 6)
+    assert np.linalg.norm(masked(x, min_ratio / 2) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_asm_zero_tensor():
-    cs = asm_compress(np.zeros((3, 3, 3)), 0.2)
-    assert cs.ranks == (0, 0, 0)
-    assert cs.masked_core.shape == (0, 0, 0)
-    assert np.all(masked_tensor(cs) == 0.0)
+    x = np.zeros((3, 3, 3))
+    assert mask_factorization(hosvd(x), 0.2) == (0, 0, 0)
+    assert asm_compress(x, 0.2).shape == (0, 0, 0)
+    assert np.all(masked(x, 0.2) == 0.0)
 
 
 def test_asm_matches_literal_projector_form():
@@ -105,29 +124,30 @@ def test_asm_matches_literal_projector_form():
     eps = 0.3
     f = hosvd(x)
     expected = x
-    for mode in range(3):
-        u, s = f.factors[mode], f.svals[mode]
-        m = np.zeros(u.shape[1])
-        m[: s.size] = spectral_mask(s, eps)
+    for mode, r in enumerate(mask_factorization(f, eps)):
+        u = f.factors[mode]
+        m = (np.arange(u.shape[1]) < r).astype(float)  # the ones-prefix mask
         expected = _mode_mult(expected, (u * m) @ u.T, mode)
-    assert np.max(np.abs(masked_tensor(asm_compress(x, eps)) - expected)) < 1e-12
+    assert np.max(np.abs(masked(x, eps) - expected)) < 1e-12
 
 
 def test_asm_reconstruction_through_retained_factors():
+    # The payload core, pushed through the factor columns the mask keeps,
+    # is the masked tensor.
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 4, 6))
-    cs = asm_compress(x, 0.4)
-    rebuilt = cs.masked_core
-    for mode, u in enumerate(cs.masked_factors):
-        rebuilt = _mode_mult(rebuilt, u, mode)
-    assert np.linalg.norm(rebuilt - masked_tensor(cs)) <= 1e-10
+    rebuilt = core = asm_compress(x, 0.4)
+    f = hosvd(x)
+    for mode, r in enumerate(core.shape):
+        rebuilt = _mode_mult(rebuilt, f.factors[mode][:, :r], mode)
+    assert np.linalg.norm(rebuilt - masked(x, 0.4)) <= 1e-10
 
 
 def test_asm_idempotent():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 5, 6))
-    once = masked_tensor(asm_compress(x, 0.3))
-    twice = masked_tensor(asm_compress(once, 0.3))
+    once = masked(x, 0.3)
+    twice = masked(once, 0.3)
     assert np.linalg.norm(twice - once) <= 1e-10
 
 
@@ -136,7 +156,7 @@ def test_asm_non_expansive():
     for _ in range(10):
         x = rng.standard_normal((4, 5, 6))
         eps = float(rng.uniform(0.05, 0.95))
-        y = masked_tensor(asm_compress(x, eps))
+        y = masked(x, eps)
         assert np.linalg.norm(y) <= np.linalg.norm(x) * (1 + 1e-12)
 
 
@@ -146,7 +166,7 @@ def test_asm_rank_monotone_in_eps():
     f = hosvd(x)
     prev = None
     for eps in np.linspace(0.05, 0.95, 15):
-        ranks = mask_factorization(f, float(eps)).ranks
+        ranks = mask_factorization(f, float(eps))
         if prev is not None:
             assert all(r <= p for r, p in zip(ranks, prev))
         prev = ranks
@@ -157,9 +177,9 @@ def test_asm_distortion_bounded_by_tail_energy():
     for _ in range(10):
         x = rng.standard_normal((4, 4, 4))
         f = hosvd(x)
-        cs = mask_factorization(f, float(rng.uniform(0.1, 0.9)))
-        resid = np.sum((x - masked_tensor(cs)) ** 2)
-        assert resid <= tail_energy(f, cs.ranks) + 1e-9
+        ranks = mask_factorization(f, float(rng.uniform(0.1, 0.9)))
+        resid = np.sum((x - truncated_reconstruct(f, ranks)) ** 2)
+        assert resid <= tail_energy(f, ranks) + 1e-9
 
 
 def test_budget_arithmetic():
@@ -189,7 +209,7 @@ def test_controller_reaches_feasible_budget():
     tau = 8
     reached = None
     for step in range(200):
-        achieved = budget(mask_factorization(f, eps).ranks)
+        achieved = budget(mask_factorization(f, eps))
         if achieved <= tau:
             reached = step
             break
@@ -201,13 +221,13 @@ def test_compress_within_budget_enforces_tau():
     rng = np.random.default_rng(10)
     for seed in range(5):
         f = hosvd(np.random.default_rng(seed).standard_normal((6, 6, 6)))
-        cs, eps = compress_within_budget(f, 1e-4, tau=10)
-        assert budget(cs.ranks) <= 10
+        ranks, eps = compress_within_budget(f, 1e-4, tau=10)
+        assert budget(ranks) <= 10
         assert EPS_MIN <= eps <= EPS_MAX
     # already feasible input is returned unchanged
     f = hosvd(rng.standard_normal((3, 3, 3)))
-    cs, eps = compress_within_budget(f, 0.9, tau=27)
-    assert eps == 0.9
+    ranks, eps = compress_within_budget(f, 0.9, tau=27)
+    assert (ranks, eps) == (mask_factorization(f, 0.9), 0.9)
 
 
 def test_compress_within_budget_stops_at_eps_max_on_tied_spectrum():
@@ -216,6 +236,6 @@ def test_compress_within_budget_stops_at_eps_max_on_tied_spectrum():
     x = np.zeros((3, 3, 3))
     x[np.arange(3), np.arange(3), np.arange(3)] = 1.0
     f = hosvd(x)
-    cs, eps = compress_within_budget(f, EPS_MIN, tau=1)
+    ranks, eps = compress_within_budget(f, EPS_MIN, tau=1)
     assert eps == EPS_MAX
-    assert cs.ranks == (3, 3, 3)
+    assert ranks == (3, 3, 3)
