@@ -104,8 +104,6 @@ class _SyntheticConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.shape) != 3 or len(self.ranks) != 3:
-            raise ValueError("expected three shape entries and three ranks")
         _check_ranks(self.shape, self.ranks)
 
 

@@ -16,7 +16,6 @@ from .tensor_core import (
     _unfold,
     as_matrix,
     as_tensor3,
-    thin_hosvd,
 )
 
 ORTHO_TOL = 1e-10
@@ -29,8 +28,13 @@ class RankDeficiencyError(ArithmeticError):
 
 
 def _check_ranks(shape, ranks) -> None:
-    """Refuse ranks outside [1, I_n], and ranks no third-order tensor has (its
-    mode-n unfolding has r_m * r_k columns, so r_n <= r_m * r_k)."""
+    """Refuse anything but three ranks for three dimensions, ranks outside
+    [1, I_n], and ranks no third-order tensor has (its mode-n unfolding has
+    r_m * r_k columns, so r_n <= r_m * r_k)."""
+    if len(shape) != 3 or len(ranks) != 3:
+        raise ValueError(
+            f"ranks {tuple(ranks)} invalid for shape {tuple(shape)}: expected three of each"
+        )
     if any(not 1 <= r <= d for r, d in zip(ranks, shape)):
         raise ValueError(f"ranks {tuple(ranks)} invalid for shape {tuple(shape)}")
     for n in MODES:
@@ -147,52 +151,33 @@ def tucker_to_tensor(p: TuckerPoint) -> np.ndarray:
     return _multi_mult(p.core, tuple(f.u for f in p.factors))
 
 
-def _truncation(x: np.ndarray, ranks: Ranks3) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Truncated HOSVD of x; the factor signs, left as computed, cancel against the core's."""
-    for mode, (r, dim) in enumerate(zip(ranks, x.shape)):
-        if not 1 <= r <= dim:
-            raise ValueError(f"rank {r} out of range [1, {dim}] for mode {mode}")
-    core, factors, svals = _hosvd_kernel(x, ranks)
+def _check_collapse(svals, ranks) -> None:
+    """Refuse a mode that is empty or whose singular value at position r_n is at or below 1e-12."""
     for mode, (r, s) in enumerate(zip(ranks, svals)):
-        if s[r - 1] <= SINGULARITY_TOL:
+        if r == 0 or s[r - 1] <= SINGULARITY_TOL:
             raise RankDeficiencyError(f"mode-{mode} singular value at position {r} is below 1e-12")
-    return core, factors
 
 
 def tucker_from_tensor(x, ranks) -> TuckerPoint:
     """Truncated-HOSVD projection of an ambient tensor onto the rank-`ranks` manifold."""
-    core, factors = _truncation(as_tensor3(x), tuple(int(r) for r in ranks))
+    x = as_tensor3(x)
+    ranks = tuple(int(r) for r in ranks)
+    _check_ranks(x.shape, ranks)
+    # The factor signs, left as computed, cancel against the core's.
+    core, factors, svals = _hosvd_kernel(x, ranks)
+    _check_collapse(svals, ranks)
     return TuckerPoint(core=core, factors=tuple(StiefelPoint(u) for u in factors))
-
-
-def hosvd_gauge(p: TuckerPoint) -> tuple[TuckerPoint, HosvdFactorization]:
-    """`p` re-expressed in the gauge of its HOSVD, and that HOSVD.
-
-    The returned point is the same tensor, with the core and factors of the
-    returned factorization `h`.  Tangents from :func:`riemannian_grad_tucker`
-    at `h` refer to this point, not to `p`: retract from it, and embed them
-    with it.  The point is built without re-checking, since the kernel gives
-    orthonormal factor columns, one per core index.
-    """
-    h = thin_hosvd(p.core, tuple(f.u for f in p.factors))
-    point = _trusted(
-        TuckerPoint,
-        core=h.core,
-        factors=tuple(_trusted(StiefelPoint, u=u) for u in h.factors),
-    )
-    return point, h
 
 
 def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
     """Project ambient gradients onto the tangent space at the HOSVD point `h`.
 
-    `h` is the point in the gauge of its HOSVD, as :func:`thin_hosvd`
-    returns it: the core is all-orthogonal, G_(n) G_(n)^T = diag(s_n^2)
-    (De Lathauwer, De Moor & Vandewalle, SIMAX 2000), so the normal
-    equations of the factor directions are a column scaling by 1/s_n^2.
-    The horizontal representation is (core direction, factor directions),
-    each factor direction orthogonal to the factor's columns, and refers to
-    the point :func:`hosvd_gauge` returns with `h`.
+    `h` is the point in the gauge of its HOSVD, as :func:`hosvd` returns it:
+    the core is all-orthogonal, G_(n) G_(n)^T = diag(s_n^2) (De Lathauwer,
+    De Moor & Vandewalle, SIMAX 2000), so the normal equations of the factor
+    directions are a column scaling by 1/s_n^2.  The horizontal
+    representation is (core direction, factor directions), each factor
+    direction orthogonal to the factor's columns of `h`.
 
     `euclid_grad` has the point's shape, or a leading axis stacking several
     gradients; then the result is a tuple of tangents, one per slice, from
@@ -207,11 +192,7 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
         raise ValueError(f"gradient shape {z.shape} does not match point shape {shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("gradient entries must be finite")
-    for mode, s in enumerate(h.svals):
-        if s.size == 0 or s[-1] <= SINGULARITY_TOL:
-            raise RankDeficiencyError(
-                f"mode-{mode} singular value at position {s.size} is below 1e-12"
-            )
+    _check_collapse(h.svals, g.shape)
     stacked = z.ndim == 4
     zs = z if stacked else z[None]
     b = zs.shape[0]
@@ -242,13 +223,13 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
     return tangents if stacked else tangents[0]
 
 
-def tangent_to_ambient(p: TuckerPoint, t: TuckerTangent) -> np.ndarray:
-    """Embed a horizontal tangent vector into the ambient tensor space."""
-    us = tuple(f.u for f in p.factors)
+def tangent_to_ambient(h: HosvdFactorization, t: TuckerTangent) -> np.ndarray:
+    """Embed a horizontal tangent vector at the HOSVD point `h` into the ambient tensor space."""
+    us = h.factors
     out = _multi_mult(t.core_dir, us)
     for mode in MODES:
         mats = tuple(t.factor_dirs[mode] if m == mode else us[m] for m in MODES)
-        out = out + _multi_mult(p.core, mats)
+        out = out + _multi_mult(h.core, mats)
     return out
 
 
@@ -266,15 +247,16 @@ def tangent_norm_sq(h: HosvdFactorization, t: TuckerTangent) -> float:
     return total
 
 
-def zero_tangent(p: TuckerPoint) -> TuckerTangent:
+def zero_tangent(h: HosvdFactorization) -> TuckerTangent:
     return TuckerTangent(
-        core_dir=np.zeros(p.ranks),
-        factor_dirs=tuple(np.zeros(f.shape) for f in p.factors),
+        core_dir=np.zeros(h.core.shape),
+        factor_dirs=tuple(np.zeros(u.shape) for u in h.factors),
     )
 
 
-def tucker_retract(p: TuckerPoint, direction: TuckerTangent, eta: float) -> TuckerPoint:
-    """Move by eta * direction, then truncate back to the ranks of `p` by HOSVD.
+def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) -> TuckerPoint:
+    """From the HOSVD point `h`, move by eta * direction, then truncate back
+    to the ranks of `h` by HOSVD.
 
     Works in factored form (Kressner, Steinlechner & Vandereycken, BIT
     2014): for the tangent vector (dG, dU_n) as :func:`tangent_to_ambient`
@@ -283,15 +265,16 @@ def tucker_retract(p: TuckerPoint, direction: TuckerTangent, eta: float) -> Tuck
     eta*G in the three blocks that differ from it in one mode.  With
     [U_n, dU_n] = Q_n R_n, the truncated HOSVD of the moved tensor is that
     of C x_n R_n, lifted by the Q_n; no tensor of the ambient shape is
-    formed.
+    formed.  `direction` is a tangent at `h`, as
+    :func:`riemannian_grad_tucker` returns it.
 
     Raises RankDeficiencyError when the moved tensor no longer supports the
     manifold's ranks (singular value at position r_n at or below 1e-12).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    r1, r2, r3 = p.ranks
-    g = p.core
+    g = h.core
+    r1, r2, r3 = ranks = g.shape
     c = np.zeros((2 * r1, 2 * r2, 2 * r3))
     c[:r1, :r2, :r3] = g + eta * direction.core_dir
     c[r1:, :r2, :r3] = eta * g
@@ -299,10 +282,12 @@ def tucker_retract(p: TuckerPoint, direction: TuckerTangent, eta: float) -> Tuck
     c[:r1, :r2, r3:] = eta * g
     qs = []
     for mode in MODES:
-        q, r = np.linalg.qr(np.hstack([p.factors[mode].u, direction.factor_dirs[mode]]))
+        q, r = np.linalg.qr(np.hstack([h.factors[mode], direction.factor_dirs[mode]]))
         qs.append(q)
         c = _mode_mult(c, r, mode)
-    core, ws = _truncation(c, p.ranks)
+    # The ranks of `h` fit the block core, whose dimensions are 2 r_n.
+    core, ws, svals = _hosvd_kernel(c, ranks)
+    _check_collapse(svals, ranks)
     # Q_n W_n has orthonormal columns, one per core index: no re-check.
     return _trusted(
         TuckerPoint,

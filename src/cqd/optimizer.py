@@ -12,7 +12,6 @@ import numpy as np
 from .manifold import (
     RankDeficiencyError,
     TuckerPoint,
-    hosvd_gauge,
     riemannian_grad_tucker,
     tangent_norm_sq,
     tucker_retract,
@@ -21,7 +20,7 @@ from .manifold import (
 from .oracle_sim import AGGREGATORS, OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import _MAX_U32, encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
-from .tensor_core import Ranks3, as_tensor3
+from .tensor_core import Ranks3, as_tensor3, hosvd
 
 SCHEDULE_KINDS = ("robbins_monro", "constant")
 
@@ -173,11 +172,12 @@ def run_cqd(
     the one before, if that iteration's loss was not finite) and sets
     `trace.error`. Arguments are checked here, before any oracle call.
 
-    Each iteration works in the gauge of the iterate's HOSVD, which the
-    mask needs anyway: its singular values turn the tangent projection's
-    normal equations into a diagonal scaling, and one projection pass
-    serves the true residual (the trace's gradient norm) and the
-    stochastic residual (the step).
+    Each iteration takes one HOSVD of the iterate, from its core, and works
+    at it: the mask reads its singular values, the query carries its core,
+    the singular values turn the tangent projection's normal equations into
+    a diagonal scaling, one projection pass serves the true residual (the
+    trace's gradient norm) and the stochastic residual (the step), and the
+    retraction starts from it.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -209,7 +209,7 @@ def run_cqd(
                 return good, trace
             good = x
             stage = "mask"
-            gauged, h = hosvd_gauge(x)
+            h = hosvd(x.core, tuple(f.u for f in x.factors))
             ranks, eps = compress_within_budget(h, eps, task.tau)
             achieved = budget(ranks)
             stage = "oracle"
@@ -240,7 +240,7 @@ def run_cqd(
                 iterate_hook(k, ambient)
 
             stage = "retract"
-            x = tucker_retract(gauged, step_dir, eta)
+            x = tucker_retract(h, step_dir, eta)
         except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
             kind = "rank_deficiency" if isinstance(exc, RankDeficiencyError) else "linalg"
             trace.error = f"{stage} at k={k}: {kind}: {exc}"

@@ -66,10 +66,15 @@ class DecodedQuery:
 
 
 def encode(core, task_id: int, seed: int, eps_rel: float) -> bytes:
-    """Serialize a masked core and its metadata; deterministic for equal inputs."""
+    """Serialize a masked core and its metadata; deterministic for equal inputs.
+
+    A core holding nan or inf raises ValueError: :func:`decode` refuses it.
+    """
     core = np.ascontiguousarray(core, dtype="<f8")
     # The header's ranks are those of the core it carries; any other ndim raises ValueError.
     r1, r2, r3 = core.shape
+    if not np.all(np.isfinite(core)):
+        raise ValueError("core entries must be finite")
     if max(r1, r2, r3) > _MAX_RANK:
         raise CapacityError(f"ranks {core.shape} exceed uint16 capacity")
     if not 0 <= int(task_id) <= _MAX_U32:

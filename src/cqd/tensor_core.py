@@ -72,8 +72,8 @@ class HosvdFactorization:
     singular values in non-increasing order; core has one index per factor
     column and is all-orthogonal, G_(n) G_(n)^T = diag(svals[n]^2), which
     the tangent projection at the point relies on.  :func:`hosvd` gives
-    square I_n x I_n factors, :func:`thin_hosvd` one column per rank of a
-    Tucker tensor.
+    square I_n x I_n factors for a dense tensor, and one column per rank for
+    a Tucker tensor.
     """
 
     core: np.ndarray
@@ -135,26 +135,22 @@ def _hosvd_kernel(x: np.ndarray, ranks) -> tuple[np.ndarray, list[np.ndarray], l
     return core, ws, svals
 
 
-def hosvd(x) -> HosvdFactorization:
-    """Higher-order SVD with square orthonormal factors and exact core.
-
-    The core satisfies X = core x_1 U1 x_2 U2 x_3 U3 up to floating point;
-    factor columns follow the nonnegative-largest-entry sign convention.
-    """
-    x = as_tensor3(x)
-    return thin_hosvd(x, tuple(np.eye(n) for n in x.shape))
-
-
-def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
+def hosvd(core, factors=None) -> HosvdFactorization:
     """HOSVD of the Tucker tensor core x_1 U1 x_2 U2 x_3 U3, from its core alone.
 
-    The U_n must have orthonormal columns.  The mode-n unfolding of the
-    tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with G_(n) = W_n S_n V_n^T
-    its left singular vectors are U_n W_n and its nonzero singular values
-    are S_n.  Factor n is therefore the I_n x r_n matrix U_n W_n, each column
-    signed so its largest-magnitude entry is nonnegative, and the core is G
-    contracted by the equally signed W_n; no tensor of the ambient shape is formed.
+    Without `factors`, the HOSVD of `core` itself (identity factors): square
+    factors, and an exact core, X = core x_1 U1 x_2 U2 x_3 U3 up to floating
+    point.  With them, the U_n must have orthonormal columns.  The mode-n
+    unfolding of the tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with
+    G_(n) = W_n S_n V_n^T its left singular vectors are U_n W_n and its
+    nonzero singular values are S_n.  Factor n is therefore the I_n x r_n
+    matrix U_n W_n, each column signed so its largest-magnitude entry is
+    nonnegative, and the core is G contracted by the equally signed W_n; no
+    tensor of the ambient shape is formed.
     """
+    if factors is None:
+        core = as_tensor3(core)
+        factors = tuple(np.eye(n) for n in core.shape)
     g, ws, svals = _hosvd_kernel(core, core.shape)
     uws = [u @ w for u, w in zip(factors, ws)]
     s1, s2, s3 = (_signs(uw) for uw in uws)
@@ -169,7 +165,8 @@ def thin_hosvd(core: np.ndarray, factors) -> HosvdFactorization:
     )
 
 
-def _check_ranks(f: HosvdFactorization, ranks) -> Ranks3:
+def _check_mask_ranks(f: HosvdFactorization, ranks) -> Ranks3:
+    """The ranks of a mask of `f`: three, each in [0, columns of factor n]."""
     if len(ranks) != 3:
         raise ValueError(f"expected three ranks, got {ranks}")
     out = []
@@ -188,7 +185,7 @@ def truncated_reconstruct(f: HosvdFactorization, ranks) -> np.ndarray:
     Equivalent to X x_1 P1 x_2 P2 x_3 P3 with P_n the rank-r_n projector;
     computed from the sliced core and factor columns.
     """
-    r1, r2, r3 = _check_ranks(f, ranks)
+    r1, r2, r3 = _check_mask_ranks(f, ranks)
     core = f.core[:r1, :r2, :r3]
     mats = (f.factors[0][:, :r1], f.factors[1][:, :r2], f.factors[2][:, :r3])
     return _multi_mult(core, mats)
@@ -196,5 +193,5 @@ def truncated_reconstruct(f: HosvdFactorization, ranks) -> np.ndarray:
 
 def tail_energy(f: HosvdFactorization, ranks) -> float:
     """Sum of squared discarded singular values across the three modes."""
-    checked = _check_ranks(f, ranks)
+    checked = _check_mask_ranks(f, ranks)
     return float(sum(np.sum(f.svals[mode][checked[mode]:] ** 2) for mode in MODES))

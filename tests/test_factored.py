@@ -1,9 +1,10 @@
 """The factored hot path against dense references kept here, not in the package.
 
-The loop masks through :func:`thin_hosvd` (the HOSVD of a Tucker tensor
-from its core) and steps through the factored :func:`tucker_retract`; both
-must agree with the dense computations they replaced: the HOSVD of the
-densified iterate, and the truncated HOSVD of the dense moved tensor.
+The loop takes the iterate's HOSVD from its core, ``hosvd(core, factors)``,
+masks and projects at it, and steps from it through the factored
+:func:`tucker_retract`; both must agree with the dense computations they
+replaced: the HOSVD of the densified iterate, and the truncated HOSVD of the
+dense moved tensor.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from hypothesis import strategies as st
 from cqd.manifold import (
     RankDeficiencyError,
     TuckerPoint,
-    TuckerTangent,
-    hosvd_gauge,
     qr_retraction,
     riemannian_grad_tucker,
     tangent_to_ambient,
@@ -24,7 +23,8 @@ from cqd.manifold import (
     tucker_to_tensor,
 )
 from cqd.spectral_masking import mask_factorization
-from cqd.tensor_core import _mode_mult, hosvd, thin_hosvd
+from cqd.tensor_core import _mode_mult, hosvd
+from tests.test_manifold import point_hosvd, random_tangent
 
 RTOL = 1e-12
 # Deterministic example sequence, so that a run repeats the same cases.
@@ -45,15 +45,6 @@ def tucker_cases(draw, max_dim: int = 7):
 def random_point(rng, shape, ranks) -> TuckerPoint:
     factors = tuple(qr_retraction(rng.standard_normal((shape[n], ranks[n]))) for n in range(3))
     return TuckerPoint(core=rng.standard_normal(ranks), factors=factors)
-
-
-def random_tangent(rng, p: TuckerPoint) -> TuckerTangent:
-    dirs = []
-    for n in range(3):
-        u = p.factors[n].u
-        w = rng.standard_normal(u.shape)
-        dirs.append(w - u @ (u.T @ w))
-    return TuckerTangent(core_dir=rng.standard_normal(p.ranks), factor_dirs=tuple(dirs))
 
 
 def unfolding(x: np.ndarray, mode: int) -> np.ndarray:
@@ -87,15 +78,16 @@ def test_retract_matches_dense_truncated_hosvd(case, eta):
     shape, ranks, seed = case
     rng = np.random.default_rng(seed)
     p = random_point(rng, shape, ranks)
-    t = random_tangent(rng, p)
-    moved = tucker_to_tensor(p) + eta * tangent_to_ambient(p, t)
+    h = point_hosvd(p)
+    t = random_tangent(rng, h)
+    moved = tucker_to_tensor(p) + eta * tangent_to_ambient(h, t)
     expected, svals = dense_truncation(moved, ranks)
     for mode in range(3):
         r = ranks[mode]
         assume(svals[mode][r - 1] > 1e-6 * svals[mode][0])
         if r < svals[mode].size:  # the truncated subspace is well defined
             assume(svals[mode][r - 1] - svals[mode][r] > 1e-6 * svals[mode][0])
-    got = tucker_to_tensor(tucker_retract(p, t, eta))
+    got = tucker_to_tensor(tucker_retract(h, t, eta))
     assert np.linalg.norm(got - expected) <= RTOL * np.linalg.norm(expected)
 
 
@@ -103,13 +95,13 @@ def test_retract_matches_dense_truncated_hosvd(case, eta):
 @example(case=((5, 5, 5), (3, 3, 3), 0), eps=0.3)
 @example(case=((3, 3, 3), (3, 3, 3), 1), eps=0.05)
 @given(case=tucker_cases(), eps=st.floats(0.01, 0.9))
-def test_thin_hosvd_mask_matches_dense_hosvd(case, eps):
+def test_hosvd_from_core_mask_matches_dense_hosvd(case, eps):
     shape, ranks, seed = case
     rng = np.random.default_rng(seed)
     p = random_point(rng, shape, ranks)
     x = tucker_to_tensor(p)
     dense = hosvd(x)
-    thin = thin_hosvd(p.core, tuple(f.u for f in p.factors))
+    thin = point_hosvd(p)
     scale = np.linalg.norm(x)
     for mode in range(3):
         r = ranks[mode]
@@ -158,9 +150,10 @@ def test_mode_mult_matches_einsum(shape, rows, seed):
 @given(case=tucker_cases())
 def test_retract_raises_on_rank_collapse(case):
     shape, ranks, seed = case
-    p, h = hosvd_gauge(random_point(np.random.default_rng(seed), shape, ranks))
+    p = random_point(np.random.default_rng(seed), shape, ranks)
+    h = point_hosvd(p)
     # X is tangent at X (core direction = core), so a unit step along -X
     # lands on the zero tensor, which supports no positive rank.
     toward_zero = riemannian_grad_tucker(h, -tucker_to_tensor(p))
     with pytest.raises(RankDeficiencyError):
-        tucker_retract(p, toward_zero, 1.0)
+        tucker_retract(h, toward_zero, 1.0)

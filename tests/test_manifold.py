@@ -9,7 +9,6 @@ from cqd.manifold import (
     TuckerPoint,
     TuckerTangent,
     gen_synthetic,
-    hosvd_gauge,
     qr_retraction,
     riemannian_grad_tucker,
     tangent_norm_sq,
@@ -20,6 +19,7 @@ from cqd.manifold import (
     tucker_to_tensor,
     zero_tangent,
 )
+from cqd.tensor_core import HosvdFactorization, _multi_mult, hosvd
 
 
 def random_stiefel(rng, n, p) -> StiefelPoint:
@@ -31,13 +31,17 @@ def random_tucker_point(rng, shape=(5, 6, 7), ranks=(2, 3, 2)) -> TuckerPoint:
     return TuckerPoint(core=rng.standard_normal(ranks), factors=factors)
 
 
-def random_tangent(rng, p: TuckerPoint) -> TuckerTangent:
+def point_hosvd(p: TuckerPoint) -> HosvdFactorization:
+    """The HOSVD of a Tucker point, at which its tangents are taken."""
+    return hosvd(p.core, tuple(f.u for f in p.factors))
+
+
+def random_tangent(rng, h: HosvdFactorization) -> TuckerTangent:
     dirs = []
-    for mode in range(3):
-        u = p.factors[mode].u
+    for u in h.factors:
         w = rng.standard_normal(u.shape)
         dirs.append(w - u @ (u.T @ w))
-    return TuckerTangent(core_dir=rng.standard_normal(p.ranks), factor_dirs=tuple(dirs))
+    return TuckerTangent(core_dir=rng.standard_normal(h.core.shape), factor_dirs=tuple(dirs))
 
 
 def negated(t: TuckerTangent) -> TuckerTangent:
@@ -135,7 +139,8 @@ def test_tucker_point_validates_factor_ranks():
 
 def test_riemannian_grad_zero_input():
     rng = np.random.default_rng(12)
-    p, h = hosvd_gauge(random_tucker_point(rng))
+    p = random_tucker_point(rng)
+    h = point_hosvd(p)
     t = riemannian_grad_tucker(h, np.zeros(p.shape))
     assert np.all(t.core_dir == 0.0)
     assert all(np.all(d == 0.0) for d in t.factor_dirs)
@@ -144,24 +149,26 @@ def test_riemannian_grad_zero_input():
 
 def test_riemannian_grad_fixes_embedded_tangents():
     rng = np.random.default_rng(13)
-    p, h = hosvd_gauge(random_tucker_point(rng))
-    t = random_tangent(rng, p)
-    ambient = tangent_to_ambient(p, t)
+    h = point_hosvd(random_tucker_point(rng))
+    t = random_tangent(rng, h)
+    ambient = tangent_to_ambient(h, t)
     back = riemannian_grad_tucker(h, ambient)
-    assert np.linalg.norm(tangent_to_ambient(p, back) - ambient) <= 1e-9
+    assert np.linalg.norm(tangent_to_ambient(h, back) - ambient) <= 1e-9
 
 
 def test_riemannian_grad_gauge_orthogonality():
     rng = np.random.default_rng(14)
-    p, h = hosvd_gauge(random_tucker_point(rng))
+    p = random_tucker_point(rng)
+    h = point_hosvd(p)
     t = riemannian_grad_tucker(h, rng.standard_normal(p.shape))
     for mode in range(3):
-        assert np.max(np.abs(p.factors[mode].u.T @ t.factor_dirs[mode])) <= 1e-10
+        assert np.max(np.abs(h.factors[mode].T @ t.factor_dirs[mode])) <= 1e-10
 
 
 def test_riemannian_grad_shape_mismatch():
     rng = np.random.default_rng(15)
-    p, h = hosvd_gauge(random_tucker_point(rng))
+    p = random_tucker_point(rng)
+    h = point_hosvd(p)
     with pytest.raises(ValueError):
         riemannian_grad_tucker(h, np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
@@ -177,20 +184,20 @@ def reference_projection(p: TuckerPoint, z: np.ndarray) -> np.ndarray:
     e_abc and of the horizontal factor directions (I - U_n U_n^T) e_i e_j^T;
     the latter are linearly dependent, which lstsq handles by its SVD.
     """
-    zero_dirs = tuple(np.zeros(f.shape) for f in p.factors)
+    us = [f.u for f in p.factors]
     basis = []
     for idx in np.ndindex(p.ranks):
         core_dir = np.zeros(p.ranks)
         core_dir[idx] = 1.0
-        basis.append(tangent_to_ambient(p, TuckerTangent(core_dir, zero_dirs)))
+        basis.append(_multi_mult(core_dir, us))
     for mode in range(3):
-        u = p.factors[mode].u
+        u = us[mode]
         for i, j in np.ndindex(u.shape):
             d = np.zeros(u.shape)
             d[i, j] = 1.0
-            dirs = list(zero_dirs)
-            dirs[mode] = d - u @ (u.T @ d)
-            basis.append(tangent_to_ambient(p, TuckerTangent(np.zeros(p.ranks), tuple(dirs))))
+            mats = list(us)
+            mats[mode] = d - u @ (u.T @ d)
+            basis.append(_multi_mult(p.core, mats))
     a = np.stack([v.ravel() for v in basis], axis=1)
     coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=1e-10)
     return (a @ coef).reshape(z.shape)
@@ -209,12 +216,12 @@ def reference_projection(p: TuckerPoint, z: np.ndarray) -> np.ndarray:
 def test_riemannian_grad_matches_least_squares_projection(shape, ranks):
     rng = np.random.default_rng(sum(shape) + sum(ranks))
     start = random_tucker_point(rng, shape, ranks)
-    p, h = hosvd_gauge(start)
+    h = point_hosvd(start)
     z = rng.standard_normal(shape)
     # The reference spans the tangent space from the point's own gauge.
     want = reference_projection(start, z)
     t = riemannian_grad_tucker(h, z)
-    got = tangent_to_ambient(p, t)
+    got = tangent_to_ambient(h, t)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(z)
     # The norm needs only the core direction and the svals of the gauge.
     assert tangent_norm_sq(h, t) == pytest.approx(float(np.sum(got**2)), rel=1e-12)
@@ -222,7 +229,8 @@ def test_riemannian_grad_matches_least_squares_projection(shape, ranks):
 
 def test_stacked_projection_equals_one_call_per_slice():
     rng = np.random.default_rng(26)
-    p, h = hosvd_gauge(random_tucker_point(rng, (5, 7, 9), (2, 3, 4)))
+    p = random_tucker_point(rng, (5, 7, 9), (2, 3, 4))
+    h = point_hosvd(p)
     z = rng.standard_normal((2, *p.shape))
     stacked = riemannian_grad_tucker(h, z)
     assert len(stacked) == 2
@@ -238,22 +246,23 @@ def test_riemannian_grad_rank_collapse_names_mode_and_position():
     p = random_tucker_point(rng, ranks=(2, 3, 2))
     core = p.core.copy()
     core[:, 2, :] = 0.0  # the mode-1 unfolding loses its third row
-    _, h = hosvd_gauge(TuckerPoint(core=core, factors=p.factors))
+    h = point_hosvd(TuckerPoint(core=core, factors=p.factors))
     with pytest.raises(RankDeficiencyError, match="mode-1 singular value at position 3 "):
         riemannian_grad_tucker(h, np.ones(p.shape))
 
 
 def test_tangent_norm_matches_ambient_embedding():
     rng = np.random.default_rng(16)
-    p, h = hosvd_gauge(random_tucker_point(rng))
-    t = random_tangent(rng, p)
-    ambient = tangent_to_ambient(p, t)
+    h = point_hosvd(random_tucker_point(rng))
+    t = random_tangent(rng, h)
+    ambient = tangent_to_ambient(h, t)
     assert tangent_norm_sq(h, t) == pytest.approx(float(np.sum(ambient**2)), rel=1e-10)
 
 
 def test_projection_shrinks_norm():
     rng = np.random.default_rng(17)
-    p, h = hosvd_gauge(random_tucker_point(rng))
+    p = random_tucker_point(rng)
+    h = point_hosvd(p)
     z = rng.standard_normal(p.shape)
     t = riemannian_grad_tucker(h, z)
     assert tangent_norm_sq(h, t) <= np.sum(z**2) * (1 + 1e-12)
@@ -262,19 +271,21 @@ def test_projection_shrinks_norm():
 def test_tucker_retract_zero_direction():
     rng = np.random.default_rng(18)
     p = random_tucker_point(rng)
-    moved = tucker_retract(p, zero_tangent(p), 0.7)
+    h = point_hosvd(p)
+    moved = tucker_retract(h, zero_tangent(h), 0.7)
     assert np.linalg.norm(tucker_to_tensor(moved) - tucker_to_tensor(p)) <= 1e-10
 
 
 def test_tucker_retract_first_order_slope():
     rng = np.random.default_rng(19)
     p = random_tucker_point(rng)
-    t = random_tangent(rng, p)
+    h = point_hosvd(p)
+    t = random_tangent(rng, h)
     x = tucker_to_tensor(p)
-    emb = tangent_to_ambient(p, t)
+    emb = tangent_to_ambient(h, t)
     errs = {}
     for eta in (1e-3, 2e-3):
-        moved = tucker_to_tensor(tucker_retract(p, t, eta))
+        moved = tucker_to_tensor(tucker_retract(h, t, eta))
         errs[eta] = np.linalg.norm(moved - x - eta * emb)
     # Richardson-style slope: halving eta should shrink the remainder ~4x.
     ratio = errs[2e-3] / errs[1e-3]
@@ -287,9 +298,9 @@ def test_tucker_retract_descends_toward_matching_rank_target():
     target = tucker_to_tensor(random_tucker_point(rng, shape=(5, 5, 5), ranks=(2, 2, 2)))
     dists = [np.linalg.norm(tucker_to_tensor(p) - target)]
     for _ in range(60):
-        p, h = hosvd_gauge(p)
+        h = point_hosvd(p)
         step = riemannian_grad_tucker(h, target - tucker_to_tensor(p))
-        p = tucker_retract(p, step, 0.2)
+        p = tucker_retract(h, step, 0.2)
         dists.append(np.linalg.norm(tucker_to_tensor(p) - target))
     diffs = np.diff(dists)
     assert np.all(diffs <= 1e-12)
@@ -298,13 +309,14 @@ def test_tucker_retract_descends_toward_matching_rank_target():
 
 def test_tucker_retract_rank_collapse_raises():
     rng = np.random.default_rng(21)
-    p, h = hosvd_gauge(random_tucker_point(rng))
+    p = random_tucker_point(rng)
+    h = point_hosvd(p)
     x = tucker_to_tensor(p)
     # X itself is tangent at X (core direction = core), so a unit step along
     # -X lands exactly on the zero tensor.
     toward_zero = riemannian_grad_tucker(h, -x)
     with pytest.raises(RankDeficiencyError, match="mode-0 singular value at position 2 "):
-        tucker_retract(p, toward_zero, 1.0)
+        tucker_retract(h, toward_zero, 1.0)
 
 
 def test_tucker_from_tensor_recovers_exact_rank():
@@ -321,11 +333,20 @@ def test_tucker_from_tensor_recovers_exact_rank():
 
 def test_tucker_from_tensor_rejects_rank_above_dimension():
     x = np.random.default_rng(24).standard_normal((5, 6, 7))
-    with pytest.raises(ValueError, match=r"rank 8 out of range \[1, 7\] for mode 2"):
+    with pytest.raises(ValueError, match=r"ranks \(2, 2, 8\) invalid for shape \(5, 6, 7\)"):
         tucker_from_tensor(x, (2, 2, 8))
     # The range is checked for every mode before any SVD runs.
-    with pytest.raises(ValueError, match="mode 1"):
+    with pytest.raises(ValueError, match=r"ranks \(2, 7, 2\) invalid for shape \(5, 6, 7\)"):
         tucker_from_tensor(np.zeros((5, 6, 7)), (2, 7, 2))
+
+
+def test_tucker_from_tensor_needs_three_ranks():
+    x = np.random.default_rng(24).standard_normal((5, 6, 7))
+    for ranks in ((2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="expected three of each"):
+            tucker_from_tensor(x, ranks)
+    with pytest.raises(ValueError, match="expected three of each"):
+        gen_synthetic((5, 6), (2, 2, 2), 0.1, 0)
 
 
 def test_ranks_no_tensor_has_are_refused():
@@ -374,13 +395,14 @@ def test_retraction_axioms_tucker():
     for _ in range(10):
         p = random_tucker_point(rng)
         x = tucker_to_tensor(p)
-        same = tucker_retract(p, zero_tangent(p), 1.0)
+        at = point_hosvd(p)
+        same = tucker_retract(at, zero_tangent(at), 1.0)
         assert np.linalg.norm(tucker_to_tensor(same) - x) <= 1e-12 * max(
             1.0, np.linalg.norm(x)
         )
-        t = random_tangent(rng, p)
-        emb = tangent_to_ambient(p, t)
-        plus = tucker_to_tensor(tucker_retract(p, t, h))
-        minus = tucker_to_tensor(tucker_retract(p, negated(t), h))
+        t = random_tangent(rng, at)
+        emb = tangent_to_ambient(at, t)
+        plus = tucker_to_tensor(tucker_retract(at, t, h))
+        minus = tucker_to_tensor(tucker_retract(at, negated(t), h))
         fd = (plus - minus) / (2 * h)
         assert np.max(np.abs(fd - emb)) <= 1e-6 * max(1.0, np.max(np.abs(emb)))

@@ -183,6 +183,24 @@ def test_linalg_error_in_a_stage_becomes_trace_error(monkeypatch):
     assert final is x0
 
 
+def test_run_cqd_takes_one_hosvd_per_iteration(monkeypatch):
+    # One HOSVD of the iterate, from its core, serves the whole iteration; the
+    # loop calls it by this name in cqd.optimizer, where its time is traced.
+    import cqd.optimizer as optimizer
+
+    calls = []
+
+    def counting_hosvd(core, factors=None):
+        calls.append(core.shape)
+        return hosvd(core, factors)
+
+    monkeypatch.setattr(optimizer, "hosvd", counting_hosvd)
+    x0, task = setup_problem(14)
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 14), RM, 0.1, 25)
+    assert trace.error is None
+    assert calls == [x0.ranks] * len(trace) == [(2, 2, 2)] * 25
+
+
 def test_rank_collapse_of_the_start_point_is_a_typed_trace_error():
     # A zero core slice leaves the mode-0 unfolding one row short: the
     # projection's 1/s^2 scaling would divide by zero.

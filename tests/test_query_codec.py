@@ -124,6 +124,15 @@ def test_nonfinite_payload_rejected():
         decode(crafted)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_refuses_a_core_the_oracle_cannot_read(bad):
+    # decode refuses a non-finite payload, so encode must not build one.
+    core = np.ones((1, 2, 1))
+    core[0, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        encode(core, 0, 0, 0.5)
+
+
 def test_capacity_error_on_oversized_rank():
     with pytest.raises(CapacityError):
         encode(np.zeros((70000, 1, 1)), 0, 0, 0.5)

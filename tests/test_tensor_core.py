@@ -12,7 +12,6 @@ from cqd.tensor_core import (
     as_tensor3,
     hosvd,
     tail_energy,
-    thin_hosvd,
     truncated_reconstruct,
 )
 
@@ -271,7 +270,7 @@ def test_factorization_rejects_a_core_that_is_not_all_orthogonal():
     rng = np.random.default_rng(20)
     core = rng.standard_normal((2, 3, 2))
     factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
-    f = thin_hosvd(core, factors)
+    f = hosvd(core, factors)
     # The HOSVD's own fields pass the public constructor.
     HosvdFactorization(core=f.core, factors=f.factors, svals=f.svals)
     # The same tensor in another gauge, with the HOSVD's svals, does not.
@@ -281,12 +280,12 @@ def test_factorization_rejects_a_core_that_is_not_all_orthogonal():
         HosvdFactorization(core=f.core[:1], factors=f.factors, svals=f.svals)
 
 
-def test_thin_hosvd_exact_with_rank_bound_by_columns():
+def test_hosvd_of_tucker_tensor_exact_with_rank_bound_by_columns():
     rng = np.random.default_rng(19)
     core = rng.standard_normal((2, 3, 2))
     factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
     x = _multi_mult(core, factors)
-    f = thin_hosvd(core, factors)
+    f = hosvd(core, factors)
     assert [u.shape for u in f.factors] == [(5, 2), (6, 3), (4, 2)]
     assert np.linalg.norm(truncated_reconstruct(f, f.core.shape) - x) <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(truncated_reconstruct(f, (2, 3, 2)) - x) <= 1e-12 * np.linalg.norm(x)
