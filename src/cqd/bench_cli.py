@@ -242,6 +242,8 @@ def _convergence_run(cfg: ConvergeConfig, seed: int, variant: str) -> dict:
     )
     grads = trace.column("grad_norm_sq")
     losses = trace.column("loss")
+    if not len(trace):  # stopped at k=0: no row, so each statistic of a row is nan
+        grads = losses = np.full(1, np.nan)
     budgets = trace.column("budget")
     running_min = np.minimum.accumulate(grads)
     below = running_min < GRAD_SQ_THRESHOLD

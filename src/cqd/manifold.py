@@ -9,6 +9,7 @@ from .tensor_core import (
     MODES,
     HosvdFactorization,
     Ranks3,
+    StiefelPoint,
     _hosvd_kernel,
     _mode_mult,
     _multi_mult,
@@ -18,7 +19,6 @@ from .tensor_core import (
     as_tensor3,
 )
 
-ORTHO_TOL = 1e-10
 # QR/HOSVD diagonal entries at or below this are treated as rank collapse.
 SINGULARITY_TOL = 1e-12
 
@@ -41,24 +41,6 @@ def _check_ranks(shape, ranks) -> None:
         if ranks[n] > ranks[(n + 1) % 3] * ranks[(n + 2) % 3]:
             raise ValueError(f"no third-order tensor has ranks {tuple(ranks)}: "
                              f"rank {n} exceeds the product of the other two")
-
-
-@dataclass(frozen=True)
-class StiefelPoint:
-    """An n x p matrix with orthonormal columns."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = as_matrix(self.u)
-        object.__setattr__(self, "u", u)
-        p = u.shape[1]
-        if np.max(np.abs(u.T @ u - np.eye(p))) > ORTHO_TOL:
-            raise ValueError("columns are not orthonormal within tolerance")
-
-    @property
-    def shape(self):
-        return self.u.shape
 
 
 @dataclass(frozen=True)
@@ -96,17 +78,14 @@ class TuckerTangent:
     factor_dirs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
 def tangent_project_stiefel(point: StiefelPoint, g) -> np.ndarray:
     """Project an ambient matrix onto the Stiefel tangent space at `point`."""
     g = as_matrix(g)
     u = point.u
     if g.shape != u.shape:
         raise ValueError(f"gradient shape {g.shape} does not match point shape {u.shape}")
-    return g - u @ sym(u.T @ g)
+    a = u.T @ g
+    return g - u @ (0.5 * (a + a.T))
 
 
 def qr_retraction(y) -> StiefelPoint:
@@ -245,13 +224,6 @@ def tangent_norm_sq(h: HosvdFactorization, t: TuckerTangent) -> float:
     for d, s in zip(t.factor_dirs, h.svals):
         total += float(np.sum((d * s) ** 2))
     return total
-
-
-def zero_tangent(h: HosvdFactorization) -> TuckerTangent:
-    return TuckerTangent(
-        core_dir=np.zeros(h.core.shape),
-        factor_dirs=tuple(np.zeros(u.shape) for u in h.factors),
-    )
 
 
 def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) -> TuckerPoint:

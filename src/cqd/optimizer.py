@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
@@ -30,8 +31,8 @@ class TaskSpec:
     """Ground-truth target (oracle-side knowledge) and budget terms.
 
     tau, the cap on the query budget r1 * r2 * r3, is keyword-only and has
-    no default; it must be at least 1, the budget of the smallest mask.
-    task_id goes into every query's header, so it must fit in a uint32.
+    no default; it must be at least 1, the budget of the smallest mask (inf:
+    no cap).  task_id goes into every query's header: an integer in uint32.
     """
 
     target: np.ndarray
@@ -41,9 +42,9 @@ class TaskSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_tensor3(self.target))
-        if self.tau < 1:
+        if not self.tau >= 1:  # written so that nan fails it
             raise ValueError(f"tau must be at least 1, got {self.tau}")
-        if not 0 <= self.task_id <= _MAX_U32:
+        if not 0 <= operator.index(self.task_id) <= _MAX_U32:
             raise ValueError(f"task_id must fit in uint32, got {self.task_id}")
 
 
@@ -129,9 +130,9 @@ class _TraceRows(Sequence):
         self._ranks[3 * i : 3 * i + 3] = array("q", row.ranks)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _TraceRows):
-            return self._cols == other._cols and self._ranks == other._ranks
-        return isinstance(other, (list, tuple)) and list(self) == list(other)
+        if not isinstance(other, _TraceRows):
+            return NotImplemented
+        return self._cols == other._cols and self._ranks == other._ranks
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -141,7 +142,7 @@ class _TraceRows(Sequence):
 class RunTrace:
     """Per-iteration diagnostics; `error` is set when a run aborts early."""
 
-    rows: _TraceRows = field(default_factory=_TraceRows)
+    rows: _TraceRows = field(default_factory=_TraceRows, init=False)
     error: str | None = None
 
     def __len__(self) -> int:
@@ -209,7 +210,7 @@ def run_cqd(
                 return good, trace
             good = x
             stage = "mask"
-            h = hosvd(x.core, tuple(f.u for f in x.factors))
+            h = hosvd(x.core, x.factors)
             ranks, eps = compress_within_budget(h, eps, task.tau)
             achieved = budget(ranks)
             stage = "oracle"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,14 +24,13 @@ class OracleConfig:
     def __post_init__(self):
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError("seed must fit in uint64")
 
 
 @dataclass(frozen=True)
 class OracleResponse:
     payload: np.ndarray
-    query_checksum_echo: int
     draws_used: int
 
 
@@ -75,21 +75,18 @@ class SimulatedOracle:
         else:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
-        if self.cfg.noise_sigma == 0.0:
-            payload = self.target.copy()
-        else:
-            self._bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,  # empty: the next draw starts a fresh block
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            payload = self._gen.standard_normal(self.target.shape)
-            payload *= self._scale
-            payload += self.target
-        return OracleResponse(payload=payload, query_checksum_echo=dq.checksum, draws_used=1)
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the next draw starts a fresh block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        payload = self._gen.standard_normal(self.target.shape)
+        payload *= self._scale
+        payload += self.target
+        return OracleResponse(payload=payload, draws_used=1)
 
 
 def aggregate(payloads: Iterable[np.ndarray], method: str = "mean") -> np.ndarray:
@@ -137,16 +134,5 @@ def ensemble_infer(
         raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
     if m == 1:  # aggregate of a singleton is itself, for either method
         return oracle.infer(query, draw_start)
-    echo = 0
-
-    def payloads():
-        nonlocal echo
-        for i in range(m):
-            response = oracle.infer(query, draw_start + i)
-            if i == 0:  # every draw decodes the same query, so echoes the same checksum
-                echo = response.query_checksum_echo
-            yield response.payload
-            del response
-
-    payload = aggregate(payloads(), agg)
-    return OracleResponse(payload=payload, query_checksum_echo=echo, draws_used=m)
+    payloads = (oracle.infer(query, draw_start + i).payload for i in range(m))
+    return OracleResponse(payload=aggregate(payloads, agg), draws_used=m)

@@ -9,6 +9,8 @@ Ranks3 = tuple[int, int, int]
 
 MODES = (0, 1, 2)
 
+ORTHO_TOL = 1e-10
+
 # Axis order that brings each mode first, the others in their original order.
 _MODE_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
@@ -31,6 +33,24 @@ def as_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+@dataclass(frozen=True)
+class StiefelPoint:
+    """An n x p matrix with orthonormal columns."""
+
+    u: np.ndarray
+
+    def __post_init__(self):
+        u = as_matrix(self.u)
+        object.__setattr__(self, "u", u)
+        p = u.shape[1]
+        if np.max(np.abs(u.T @ u - np.eye(p))) > ORTHO_TOL:
+            raise ValueError("columns are not orthonormal within tolerance")
+
+    @property
+    def shape(self):
+        return self.u.shape
 
 
 def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
@@ -140,7 +160,7 @@ def hosvd(core, factors=None) -> HosvdFactorization:
 
     Without `factors`, the HOSVD of `core` itself (identity factors): square
     factors, and an exact core, X = core x_1 U1 x_2 U2 x_3 U3 up to floating
-    point.  With them, the U_n must have orthonormal columns.  The mode-n
+    point.  With them, the U_n are StiefelPoints (else TypeError).  The mode-n
     unfolding of the tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with
     G_(n) = W_n S_n V_n^T its left singular vectors are U_n W_n and its
     nonzero singular values are S_n.  Factor n is therefore the I_n x r_n
@@ -150,9 +170,13 @@ def hosvd(core, factors=None) -> HosvdFactorization:
     """
     if factors is None:
         core = as_tensor3(core)
-        factors = tuple(np.eye(n) for n in core.shape)
+        us = tuple(np.eye(n) for n in core.shape)
+    elif all(isinstance(f, StiefelPoint) for f in factors):
+        us = tuple(f.u for f in factors)
+    else:
+        raise TypeError("hosvd factors must be StiefelPoints")
     g, ws, svals = _hosvd_kernel(core, core.shape)
-    uws = [u @ w for u, w in zip(factors, ws)]
+    uws = [u @ w for u, w in zip(us, ws)]
     s1, s2, s3 = (_signs(uw) for uw in uws)
     # Flipping a column's sign is exact, in the factor and in the core.  The
     # kernel's svals are LAPACK's, non-increasing and nonnegative, one per

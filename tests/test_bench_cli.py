@@ -183,6 +183,19 @@ def test_convergence_experiment_small():
     assert all(r["diverged"] == 1 for r in neg)
 
 
+def test_convergence_run_that_stops_at_k0_fails_its_report(capsys):
+    # The loss overflows at k=0, so every trace is empty; the statistics of
+    # a row used to raise IndexError from the empty running minimum.
+    rc = main(["converge", "--noise-floor", "1e200", "--seed-list", "0", "--iters", "5"])
+    assert rc == 1
+    assert capsys.readouterr().out.endswith("converge: 3 rows, overall FAIL\n")
+    report = exp_convergence(ConvergeConfig(seeds=(0,), iters=5, noise_floor=1e200))
+    for row in report.rows:
+        assert row["iters_run"] == 0 and row["crossing_iter"] == -1 and row["diverged"] == 0
+        assert row["error"] == "loss at k=0: non-finite loss inf"
+        assert all(np.isnan(row[c]) for c in ("min_running_grad_sq", "final_loss", "min_loss"))
+
+
 def test_rate_distortion_experiment():
     cfg = RateDistConfig(seeds=(0, 1), grid_points=20)
     report = exp_rate_distortion(cfg)

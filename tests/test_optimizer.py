@@ -227,18 +227,13 @@ def test_trace_rows_round_trip_through_the_compact_columns():
         assert type(row.loss) is float and type(row.eps) is float and type(row.eta) is float
         assert type(row.budget) is int and type(row.k) is int
         assert type(row.ranks) is tuple and all(type(r) is int for r in row.ranks)
-    assert trace.rows == rows and trace.rows[-1] == rows[-1] and trace.rows[2:5] == rows[2:5]
+    assert list(trace.rows) == rows and trace.rows[-1] == rows[-1] and trace.rows[2:5] == rows[2:5]
     assert repr(trace) == f"RunTrace(rows={rows!r}, error=None)"
     for name in ("k", "loss", "grad_norm_sq", "ranks", "budget", "eta", "eps"):
         want = np.array([getattr(row, name) for row in rows])
         got = trace.column(name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert RunTrace().column("budget").dtype == np.array([]).dtype
-    # A trace built from a plain list of rows reads the same columns.
-    listed = RunTrace(rows=rows)
-    for name in ("loss", "budget", "ranks"):
-        assert np.array_equal(listed.column(name), trace.column(name))
-    assert descent_certificate(listed, 1.0, 0.1) == descent_certificate(trace, 1.0, 0.1)
     # A row written back is read back; its k is its position.
     changed = dataclasses.replace(rows[4], budget=99, loss=1.5, ranks=(1, 2, 3))
     trace.rows[4] = changed
@@ -273,6 +268,23 @@ def test_task_spec_tau_is_required_and_at_least_one():
         with pytest.raises(ValueError, match="tau"):
             TaskSpec(target=target, tau=bad)
     assert TaskSpec(target=target, tau=1).tau == 1
+
+
+def test_task_spec_refuses_a_nan_tau_and_keeps_inf_as_no_cap():
+    # nan passed `tau < 1`, and then no cap was enforced.
+    target = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="tau"):
+        TaskSpec(target=target, tau=float("nan"))
+    assert TaskSpec(target=target, tau=float("inf")).tau == float("inf")
+
+
+def test_task_spec_task_id_must_be_an_integer():
+    # A fraction used to pass and reach the header truncated.
+    target = np.zeros((2, 2, 2))
+    for bad in (1.5, 0.0, -0.5):
+        with pytest.raises(TypeError):
+            TaskSpec(target=target, tau=1, task_id=bad)
+    assert TaskSpec(target=target, tau=1, task_id=np.uint32(7)).task_id == 7
 
 
 def test_task_spec_task_id_must_fit_the_query_header():

@@ -5,6 +5,7 @@ import pytest
 
 from cqd.tensor_core import (
     HosvdFactorization,
+    StiefelPoint,
     _mode_mult,
     _multi_mult,
     _unfold,
@@ -270,7 +271,7 @@ def test_factorization_rejects_a_core_that_is_not_all_orthogonal():
     rng = np.random.default_rng(20)
     core = rng.standard_normal((2, 3, 2))
     factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
-    f = hosvd(core, factors)
+    f = hosvd(core, [StiefelPoint(u) for u in factors])
     # The HOSVD's own fields pass the public constructor.
     HosvdFactorization(core=f.core, factors=f.factors, svals=f.svals)
     # The same tensor in another gauge, with the HOSVD's svals, does not.
@@ -280,12 +281,21 @@ def test_factorization_rejects_a_core_that_is_not_all_orthogonal():
         HosvdFactorization(core=f.core[:1], factors=f.factors, svals=f.svals)
 
 
+def test_hosvd_refuses_factors_that_are_not_stiefel_points():
+    # These columns have U^T U = 4 I: taken on trust, they gave factors that
+    # are not orthonormal and svals that are not the tensor's.
+    with pytest.raises(TypeError, match="StiefelPoint"):
+        hosvd(np.ones((2, 2, 2)), (2 * np.eye(4)[:, :2],) * 3)
+    with pytest.raises(ValueError, match="orthonormal"):
+        StiefelPoint(2 * np.eye(4)[:, :2])
+
+
 def test_hosvd_of_tucker_tensor_exact_with_rank_bound_by_columns():
     rng = np.random.default_rng(19)
     core = rng.standard_normal((2, 3, 2))
     factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip((5, 6, 4), core.shape)]
     x = _multi_mult(core, factors)
-    f = hosvd(core, factors)
+    f = hosvd(core, [StiefelPoint(u) for u in factors])
     assert [u.shape for u in f.factors] == [(5, 2), (6, 3), (4, 2)]
     assert np.linalg.norm(truncated_reconstruct(f, f.core.shape) - x) <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(truncated_reconstruct(f, (2, 3, 2)) - x) <= 1e-12 * np.linalg.norm(x)
