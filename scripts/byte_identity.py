@@ -11,6 +11,8 @@ Each line is the first 16 hex digits of a sha256 and the output's name:
 - the trace rows, ``trace.error``, start and final point of ``run_cqd`` for the
   four loopbench workload configurations, instance seeds 0-2 (``ensemble6-m64``
   with the mean and with the median);
+- ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, mean and median, seeds 0-1,
+  10 iterations, a shape whose draws the oracle makes one per block;
 - the 6^3, sigma=0, constant eta=3, 2000-iteration diverging run;
 - ``hosvd`` on random, thin (5x1x2), rank-one and all-zero tensors, and on
   the core and factors of seeded Tucker points (listed as ``thin_hosvd``, the
@@ -89,6 +91,17 @@ def main() -> None:
                 )
                 digest(f"{name}/{agg}/seed{seed}", trace.rows, trace.error,
                        *point_bytes(x0), *point_bytes(final))
+
+    for agg in ("mean", "median"):
+        for seed in range(2):
+            instance, target = gen_synthetic((24, 24, 24), (2, 2, 2), 0.1, seed)
+            final, trace = cqd.run_cqd(
+                tucker_from_tensor(instance, (2, 2, 2)),
+                cqd.TaskSpec(target=target, tau=27, task_id=seed),
+                cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
+                0.1, 10, 3, agg,
+            )
+            digest(f"ensemble24-m3/{agg}/seed{seed}", trace.rows, trace.error, *point_bytes(final))
 
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
     final, trace = cqd.run_cqd(

@@ -278,8 +278,9 @@ def exp_convergence(cfg: ConvergeConfig) -> Report:
         r["min_loss"] < DETERMINISTIC_LOSS_THRESHOLD and not r["error"] for r in det_rows
     )
     report.passed["divergence_detected"] = all(bool(r["diverged"]) for r in neg_rows)
-    report.passed["budget_respected"] = all(
-        r["budget_violations"] == 0 for r in report.rows if not r["error"]
+    # A stopped run's iterations count; with no iteration at all, nothing was respected.
+    report.passed["budget_respected"] = any(r["iters_run"] for r in report.rows) and all(
+        r["budget_violations"] == 0 for r in report.rows
     )
     return _finish(report)
 

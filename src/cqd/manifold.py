@@ -13,6 +13,7 @@ from .tensor_core import (
     _hosvd_kernel,
     _mode_mult,
     _multi_mult,
+    _per_shape,
     _trusted,
     _unfold,
     as_matrix,
@@ -241,7 +242,8 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
     :func:`riemannian_grad_tucker` returns it.
 
     Raises RankDeficiencyError when the moved tensor no longer supports the
-    manifold's ranks (singular value at position r_n at or below 1e-12).
+    manifold's ranks (singular value at position r_n at or below 1e-12), and
+    FloatingPointError when the step overflowed (a non-finite block core).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -252,11 +254,13 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
     c[r1:, :r2, :r3] = eta * g
     c[:r1, r2:, :r3] = eta * g
     c[:r1, :r2, r3:] = eta * g
+    blocks = [np.hstack([u, d]) for u, d in zip(h.factors, direction.factor_dirs)]
     qs = []
-    for mode in MODES:
-        q, r = np.linalg.qr(np.hstack([h.factors[mode], direction.factor_dirs[mode]]))
+    for mode, (q, r) in enumerate(_per_shape(np.linalg.qr, blocks)):
         qs.append(q)
         c = _mode_mult(c, r, mode)
+    if np.count_nonzero(np.isfinite(c)) != c.size:
+        raise FloatingPointError("non-finite step: the block core holds inf or nan")
     # The ranks of `h` fit the block core, whose dimensions are 2 r_n.
     core, ws, svals = _hosvd_kernel(c, ranks)
     _check_collapse(svals, ranks)

@@ -220,31 +220,24 @@ def run_cqd(
             eta = step_size(k, schedule)
 
             stage = "project"
-            # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's
-            # answer R is X - R; its negative is the step direction.
-            np.subtract(response.payload, ambient, out=residuals[1])
-            true_grad, step_dir = riemannian_grad_tucker(h, residuals)
-            with np.errstate(over="ignore"):  # reads inf; the next loss check stops the run
+            # An overflow here or in the step leaves a non-finite block core,
+            # which tucker_retract refuses; the gradient norm may read inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's
+                # answer R is X - R; its negative is the step direction.
+                np.subtract(response.payload, ambient, out=residuals[1])
+                true_grad, step_dir = riemannian_grad_tucker(h, residuals)
                 grad_norm_sq = tangent_norm_sq(h, true_grad)
-            trace.rows.append(
-                TraceRow(
-                    k=k,
-                    loss=loss,
-                    grad_norm_sq=grad_norm_sq,
-                    ranks=ranks,
-                    budget=achieved,
-                    eta=eta,
-                    eps=eps,
-                )
-            )
-            if iterate_hook is not None:
-                iterate_hook(k, ambient)
+                trace.rows.append(TraceRow(k=k, loss=loss, grad_norm_sq=grad_norm_sq, ranks=ranks,
+                                           budget=achieved, eta=eta, eps=eps))
+                if iterate_hook is not None:
+                    iterate_hook(k, ambient)
 
-            stage = "retract"
-            x = tucker_retract(h, step_dir, eta)
-        except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
-            kind = "rank_deficiency" if isinstance(exc, RankDeficiencyError) else "linalg"
-            trace.error = f"{stage} at k={k}: {kind}: {exc}"
+                stage = "retract"
+                x = tucker_retract(h, step_dir, eta)
+        except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            kind = {RankDeficiencyError: "rank_deficiency: ", np.linalg.LinAlgError: "linalg: "}
+            trace.error = f"{stage} at k={k}: {kind.get(type(exc), '')}{exc}"
             return good, trace
         eps = adapt_epsilon(eps, achieved, task.tau)
     return x, trace

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -12,6 +13,9 @@ from .query_codec import DecodedQuery, decode
 from .tensor_core import as_tensor3
 
 AGGREGATORS = ("mean", "median")
+
+# Bytes of draws an ensemble mean holds at once; a larger payload goes one draw a block.
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,77 +66,89 @@ class SimulatedOracle:
         self._scale = cfg.noise_sigma / np.sqrt(np.prod(self.target.shape))
         self._bitgen = np.random.Philox()
         self._gen = np.random.Generator(self._bitgen)
+        # Philox state at the start of a draw; infer sets the counter's draw
+        # word and the key's checksum word in place.
+        self._counter = [0, 0, 0, 0]
+        self._key = [cfg.seed, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the next draw starts a fresh block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._per_block = max(1, _BLOCK_BYTES // self.target.nbytes)  # draws per block of a mean
         # The last query and its decoding: the m draws of an ensemble send
         # the same bytes, which are decoded and CRC-checked once.
         self._last: tuple[bytes, DecodedQuery] | None = None
 
-    def infer(self, query: bytes, draw_index: int) -> OracleResponse:
+    @cached_property
+    def _block(self) -> np.ndarray:
+        # The block buffer, made at the first ensemble and reused by every later one.
+        return np.empty((self._per_block, *self.target.shape))
+
+    def infer(self, query: bytes, draw_index: int, m: int = 1, agg: str = "mean") -> OracleResponse:
+        """Draws draw_index, ..., draw_index + m - 1 of `query`, aggregated by `agg`.
+
+        Each draw has the bits of its own m = 1 call.  The mean sums the draws
+        in order, as np.mean of their stack does along axis 0, holding at most
+        max(one payload, 128 KiB) of them at once; the median stacks all m.
+        The payload is a fresh array of the target's shape.
+        """
         if draw_index < 0:
             raise ValueError("draw_index must be nonnegative")
+        if m < 1:
+            raise ValueError("ensemble size m must be at least 1")
+        if agg not in AGGREGATORS:
+            raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
         last = self._last
         if last is not None and last[0] == query:
             dq = last[1]
         else:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, draw_index, 0, 0], "key": [self.cfg.seed, dq.checksum]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: the next draw starts a fresh block
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        payload = self._gen.standard_normal(self.target.shape)
-        payload *= self._scale
-        payload += self.target
-        return OracleResponse(payload=payload, draws_used=1)
+        self._key[1] = dq.checksum
+        if m == 1:
+            payload = np.empty(self.target.shape)
+            self._counter[1] = draw_index
+            self._bitgen.state = self._state
+            self._gen.standard_normal(out=payload)
+            payload *= self._scale
+            payload += self.target
+            return OracleResponse(payload=payload, draws_used=1)
+        n = m if agg == "median" else min(m, self._per_block)  # draws per block
+        block = self._block if n <= self._per_block else np.empty((n, *self.target.shape))
+        total = None
+        for start in range(draw_index, draw_index + m, n):
+            rows = block[: min(n, draw_index + m - start)]
+            for i in range(len(rows)):
+                self._counter[1] = start + i
+                self._bitgen.state = self._state
+                self._gen.standard_normal(out=rows[i])
+            rows *= self._scale
+            rows += self.target
+            if agg == "median":
+                return OracleResponse(payload=np.median(rows, axis=0), draws_used=m)
+            # Summed from -0.0, which adds exactly (numpy's reduce starts at +0.0);
+            # total + d is d + total, bit for bit, so the sum goes on in draw order.
+            if total is not None:
+                rows[0] += total
+            total = np.add.reduce(rows, axis=0, out=total, initial=-0.0)
+        total /= m
+        return OracleResponse(payload=total, draws_used=m)
 
 
 def aggregate(payloads: Iterable[np.ndarray], method: str = "mean") -> np.ndarray:
-    """Elementwise mean or median of shape-homogeneous payloads, in a fresh array.
-
-    The mean is float64, leaves the payloads unmodified and consumes them
-    one at a time: a running sum in draw order, then one divide, which is
-    what np.mean of the stacked payloads computes along axis 0.
-    """
+    """Elementwise mean or median of same-shape payloads in a fresh float64 array."""
     if method not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {method!r}, expected one of {AGGREGATORS}")
-    if method == "median":  # raises ValueError on no payloads or unequal shapes
-        return np.median(np.stack([np.asarray(p) for p in payloads], axis=0), axis=0)
-    total = None
-    count = 0
-    for p in payloads:
-        if total is None:
-            total = np.array(p, dtype=np.float64)
-        elif np.shape(p) != total.shape:
-            raise ValueError("payload shapes are not homogeneous")
-        else:
-            total += p
-        count += 1
-        del p  # freed before the iterator makes the next payload
-    if total is None:
-        raise ValueError("cannot aggregate an empty response list")
-    total /= count
-    return total
+    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in payloads])
+    return np.median(stacked, axis=0) if method == "median" else np.mean(stacked, axis=0)
 
 
 def ensemble_infer(
-    oracle: SimulatedOracle,
-    query: bytes,
-    m: int,
-    agg: str = "mean",
-    draw_start: int = 0,
+    oracle: SimulatedOracle, query: bytes, m: int, agg: str = "mean", draw_start: int = 0
 ) -> OracleResponse:
-    """Issue m independent draws of one query and aggregate the responses.
-
-    Each draw is made as `aggregate` asks for it and freed before the next.
-    """
-    if m < 1:
-        raise ValueError("ensemble size m must be at least 1")
-    if agg not in AGGREGATORS:
-        raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
-    if m == 1:  # aggregate of a singleton is itself, for either method
-        return oracle.infer(query, draw_start)
-    payloads = (oracle.infer(query, draw_start + i).payload for i in range(m))
-    return OracleResponse(payload=aggregate(payloads, agg), draws_used=m)
+    """Draws draw_start, ..., draw_start + m - 1 of one query, aggregated by `agg`."""
+    return oracle.infer(query, draw_start, m=m, agg=agg)

@@ -11,6 +11,9 @@ MODES = (0, 1, 2)
 
 ORTHO_TOL = 1e-10
 
+# Largest stack one LAPACK call takes: a larger one (48^3 unfoldings) would raise peak memory.
+_STACK_BYTES = 128 * 1024
+
 # Axis order that brings each mode first, the others in their original order.
 _MODE_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
@@ -129,23 +132,48 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _per_shape(fn, arrays) -> list:
+    """[fn(a) for a in arrays], from one call of fn per shape on the stack of
+    the arrays of that shape, if the stack fits in 128 KiB.  fn maps a stack
+    slice by slice (numpy's svd and qr do), so each result has the bits of
+    a call on its array alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    out = [None] * len(arrays)
+    for same in groups.values():
+        if len(same) == 1 or len(same) * arrays[same[0]].nbytes > _STACK_BYTES:
+            for i in same:
+                out[i] = fn(arrays[i])
+        else:
+            res = fn(np.array([arrays[i] for i in same]))  # np.stack, without its checks
+            for i, part in zip(same, zip(*res) if isinstance(res, tuple) else res):
+                out[i] = part
+    return out
+
+
 def _signs(u: np.ndarray) -> np.ndarray:
     # Reproducibility convention: largest-magnitude entry of each column >= 0.
+    # u is a matrix or a stack of them; the signs are those of each matrix.
+    n, p = u.shape[-2:]
     if u.size == 0:
-        return np.ones(u.shape[1])
-    idx = np.argmax(np.abs(u), axis=0)
-    return np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+        return np.ones(u.shape[:-2] + (p,))
+    flat = u.reshape(-1, n, p)
+    idx = np.argmax(np.abs(flat), axis=1)
+    top = flat[np.arange(len(flat))[:, None], idx, np.arange(p)]
+    return np.where(top < 0, -1.0, 1.0).reshape(u.shape[:-2] + (p,))
 
 
 def _hosvd_kernel(x: np.ndarray, ranks) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Truncated HOSVD of x with LAPACK's signs: (core, leading left singular vectors, svals)."""
-    core = x
-    ws = []
-    svals = []
-    for mode in MODES:
-        xn = _unfold(x, mode)
+    def svd(t):  # t: x with a mode brought first, or a stack of such; unfolded (copied) here
+        a = t.reshape(t.shape[:-2] + (-1,))
         # full_matrices only matters when rows exceed columns; avoid the big V'.
-        u, s, _ = np.linalg.svd(xn, full_matrices=xn.shape[0] > xn.shape[1])
+        u, s, _ = np.linalg.svd(a, full_matrices=a.shape[-2] > a.shape[-1])
+        return u, s  # V' is freed here, not held for all three modes
+
+    core, ws, svals = x, [], []
+    for mode, (u, s) in enumerate(_per_shape(svd, [x.transpose(o) for o in _MODE_ORDER])):
         w = u[:, : ranks[mode]]
         core = _mode_mult(core, w.T, mode)
         ws.append(w)
@@ -160,8 +188,9 @@ def hosvd(core, factors=None) -> HosvdFactorization:
 
     Without `factors`, the HOSVD of `core` itself (identity factors): square
     factors, and an exact core, X = core x_1 U1 x_2 U2 x_3 U3 up to floating
-    point.  With them, the U_n are StiefelPoints (else TypeError).  The mode-n
-    unfolding of the tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with
+    point.  With them, the U_n are three StiefelPoints (else TypeError), with
+    one column per core index, and the core is finite (else ValueError).  The
+    mode-n unfolding of the tensor is U_n G_(n) (U_3 kron U_2 ...)^T, so with
     G_(n) = W_n S_n V_n^T its left singular vectors are U_n W_n and its
     nonzero singular values are S_n.  Factor n is therefore the I_n x r_n
     matrix U_n W_n, each column signed so its largest-magnitude entry is
@@ -171,13 +200,20 @@ def hosvd(core, factors=None) -> HosvdFactorization:
     if factors is None:
         core = as_tensor3(core)
         us = tuple(np.eye(n) for n in core.shape)
-    elif all(isinstance(f, StiefelPoint) for f in factors):
+    elif len(factors) == 3 and all(isinstance(f, StiefelPoint) for f in factors):
         us = tuple(f.u for f in factors)
+        core = np.asarray(core, dtype=np.float64)
+        cols = (us[0].shape[1], us[1].shape[1], us[2].shape[1])
+        if core.shape != cols:  # mode 3: a core with more than three dimensions
+            mode = next((n for n in MODES if core.shape[n : n + 1] != cols[n : n + 1]), 3)
+            raise ValueError(f"mode {mode}: core of shape {core.shape}, factor columns {cols}")
+        if np.count_nonzero(np.isfinite(core)) != core.size:  # faster than .all() at r^3
+            raise ValueError("core entries must be finite")
     else:
-        raise TypeError("hosvd factors must be StiefelPoints")
+        raise TypeError("hosvd takes three StiefelPoint factors")
     g, ws, svals = _hosvd_kernel(core, core.shape)
     uws = [u @ w for u, w in zip(us, ws)]
-    s1, s2, s3 = (_signs(uw) for uw in uws)
+    s1, s2, s3 = _per_shape(_signs, uws)
     # Flipping a column's sign is exact, in the factor and in the core.  The
     # kernel's svals are LAPACK's, non-increasing and nonnegative, one per
     # factor column, so the factorization is built without re-checking them.

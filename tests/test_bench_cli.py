@@ -194,6 +194,8 @@ def test_convergence_run_that_stops_at_k0_fails_its_report(capsys):
         assert row["iters_run"] == 0 and row["crossing_iter"] == -1 and row["diverged"] == 0
         assert row["error"] == "loss at k=0: non-finite loss inf"
         assert all(np.isnan(row[c]) for c in ("min_running_grad_sq", "final_loss", "min_loss"))
+    # No run made an iteration, so no budget was respected; it used to PASS vacuously.
+    assert report.passed["budget_respected"] is False
 
 
 def test_rate_distortion_experiment():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from cqd.manifold import (
     tucker_retract,
     tucker_to_tensor,
 )
-from cqd.tensor_core import HosvdFactorization, _multi_mult, hosvd
+from cqd.tensor_core import HosvdFactorization, _hosvd_kernel, _multi_mult, hosvd
 
 
 def random_stiefel(rng, n, p) -> StiefelPoint:
@@ -265,6 +267,62 @@ def test_projection_shrinks_norm():
     z = rng.standard_normal(p.shape)
     t = riemannian_grad_tucker(h, z)
     assert tangent_norm_sq(h, t) <= np.sum(z**2) * (1 + 1e-12)
+
+
+def _recorded(fn, shapes, per_matrix=False):
+    """fn, recording the shape of each call's input; with per_matrix, a stack
+    is answered by one call of fn per matrix."""
+
+    def wrapped(a, *args, **kwargs):
+        shapes.append(a.shape)
+        if not per_matrix or a.ndim == 2:
+            return fn(a, *args, **kwargs)
+        res = [fn(m, *args, **kwargs) for m in a]
+        return type(res[0])(*(np.stack(parts) for parts in zip(*res)))
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, calls",
+    [((6, 6, 6), (2, 2, 2), 1), ((8, 7, 6), (3, 2, 2), 3), ((48, 48, 48), (2, 2, 2), 3)],
+)
+def test_stacked_svd_and_qr_give_the_bits_of_one_call_per_mode(monkeypatch, shape, ranks, calls):
+    # Equal-shape matrices share one LAPACK call, up to a 128 KiB stack: the
+    # 48^3 unfoldings (864 KiB each) go one per call.
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal(shape)
+    h = point_hosvd(tucker_from_tensor(x, ranks))
+    t = riemannian_grad_tucker(h, rng.standard_normal(shape))
+
+    def outputs():
+        core, ws, svals = _hosvd_kernel(x, ranks)
+        moved = tucker_retract(h, t, 0.3)
+        return [a.tobytes() for a in (core, *ws, *svals, moved.core, *(f.u for f in moved.factors))]
+
+    svd, qr = np.linalg.svd, np.linalg.qr
+    shapes = []
+    monkeypatch.setattr(np.linalg, "svd", _recorded(svd, shapes))
+    _hosvd_kernel(x, ranks)
+    assert len(shapes) == calls
+    stacked = outputs()
+    monkeypatch.setattr(np.linalg, "svd", _recorded(svd, [], per_matrix=True))
+    monkeypatch.setattr(np.linalg, "qr", _recorded(qr, [], per_matrix=True))
+    assert outputs() == stacked
+
+
+def test_a_large_hosvd_copies_one_unfolding_at_a_time():
+    # Above the stacking cap each unfolding is copied in its own SVD call and
+    # its V^T freed there: all three unfoldings held at once peaked at 4.1x
+    # the tensor, and a V^T kept until the next mode's SVD at 3.1x.
+    x = np.random.default_rng(31).standard_normal((48, 48, 48))
+    tracemalloc.start()
+    try:
+        tucker_from_tensor(x, (2, 2, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes  # one unfolding's copy and the V^T of its SVD
 
 
 def test_tucker_retract_zero_direction():

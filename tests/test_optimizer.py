@@ -168,6 +168,25 @@ def test_diverging_run_stops_with_error_instead_of_raising():
     assert last == pytest.approx(trace.rows[-1].loss, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "scale, sigma, schedule",
+    [
+        (1e150, 0.1, StepSchedule("constant", 1e300)),  # overflow in the step's multiply
+        (1e150, 1e300, RM),  # overflow in the projection's matmul
+        (1.0, 1e300, StepSchedule("constant", 1e300)),
+    ],
+)
+def test_an_overflowing_step_stops_the_run_without_a_runtime_warning(scale, sigma, schedule):
+    # Each raised a RuntimeWarning out of run_cqd, an error under this suite's filter.
+    instance, target = gen_synthetic((4, 4, 4), (2, 2, 2), 0.1, 0)
+    x0 = tucker_from_tensor(scale * instance, (2, 2, 2))
+    task = TaskSpec(target=scale * target, tau=27)
+    final, trace = run_cqd(x0, task, OracleConfig(sigma, 0), schedule, 0.1, 5)
+    assert trace.error == "retract at k=0: non-finite step: the block core holds inf or nan"
+    assert len(trace) == 1
+    assert final is x0
+
+
 def test_linalg_error_in_a_stage_becomes_trace_error(monkeypatch):
     import cqd.optimizer as optimizer
 

@@ -268,15 +268,60 @@ def test_ensemble_mean_holds_about_two_payloads():
     assert peak <= 3 * target.nbytes  # all 32 draws were alive at once before
 
 
-@pytest.mark.parametrize("m", [2, 64])
-def test_streamed_ensemble_mean_matches_numpy_bitwise(m):
+@pytest.mark.parametrize(
+    "shape, m, agg",
+    [
+        pytest.param((4, 5, 6), 2, "mean", id="2"),
+        pytest.param((4, 5, 6), 64, "mean", id="64"),
+        # 12^3: nine draws a block, so m = 64 takes eight blocks.
+        pytest.param((12, 12, 12), 64, "mean", id="12cube-64"),
+        # 24^3: a payload above the block cap, so one draw a block.
+        pytest.param((24, 24, 24), 3, "mean", id="24cube-3"),
+        pytest.param((4, 5, 6), 64, "median", id="median-64"),
+        pytest.param((24, 24, 24), 3, "median", id="median-24cube-3"),
+    ],
+)
+def test_streamed_ensemble_mean_matches_numpy_bitwise(shape, m, agg):
     rng = np.random.default_rng(43)
-    target = rng.standard_normal((4, 5, 6))
+    target = rng.standard_normal(shape)
     query = make_query(rng)
     oracle = SimulatedOracle(OracleConfig(0.7, 43), target)
     stacked = np.stack([oracle.infer(query, 9 + i).payload for i in range(m)])
-    resp = ensemble_infer(oracle, query, m, "mean", draw_start=9)
-    assert resp.payload.tobytes() == np.mean(stacked, axis=0).tobytes()
+    expected = (np.median if agg == "median" else np.mean)(stacked, axis=0)
+    for _ in range(2):  # the second call reuses the oracle's block
+        resp = ensemble_infer(oracle, query, m, agg, draw_start=9)
+        assert resp.payload.tobytes() == expected.tobytes()
+        assert resp.draws_used == m
+
+
+@pytest.mark.parametrize("agg", ["mean", "median"])
+@pytest.mark.parametrize("shape", [(6, 6, 6), (24, 24, 24)])
+def test_an_ensemble_payload_views_no_buffer_larger_than_itself(shape, agg):
+    # A caller may keep every payload: a view into a block of draws would pin
+    # the whole block.
+    rng = np.random.default_rng(44)
+    target = rng.standard_normal(shape)
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(0.2, 44), target)
+    for m in (1, 2, 64):
+        payload = ensemble_infer(oracle, query, m, agg).payload
+        assert payload.shape == shape
+        assert payload.base is None or payload.base.nbytes <= payload.nbytes
+        assert not np.shares_memory(payload, oracle._block)
+
+
+def test_an_ensemble_mean_keeps_a_signed_zero():
+    # At sigma = 0 a draw's entry is -0.0 where the target's is -0.0 and the
+    # zero-scaled noise is negative.  numpy's reduce starts at +0.0, which
+    # would turn an entry that is -0.0 in every draw into +0.0.
+    rng = np.random.default_rng(45)
+    query = make_query(rng)
+    oracle = SimulatedOracle(OracleConfig(0.0, 45), np.full((4, 5, 6), -0.0))
+    d0, d1, d2 = (oracle.infer(query, i).payload for i in range(3))
+    expected = (d0 + d1 + d2) / 3
+    got = ensemble_infer(oracle, query, 3, "mean").payload
+    assert got.tobytes() == expected.tobytes()
+    assert np.any(np.signbit(got))
 
 
 def test_aggregate_consumes_an_iterator():

@@ -290,6 +290,23 @@ def test_hosvd_refuses_factors_that_are_not_stiefel_points():
         StiefelPoint(2 * np.eye(4)[:, :2])
 
 
+def test_hosvd_refuses_a_core_that_does_not_fit_its_factors_or_is_not_finite():
+    # Both used to fail inside numpy: a matmul shape error and an SVD that did
+    # not converge.
+    factors = (StiefelPoint(np.eye(4)[:, :2]),) * 3
+    with pytest.raises(ValueError, match="mode 0: core of shape"):
+        hosvd(np.ones((3, 2, 2)), factors)
+    with pytest.raises(ValueError, match="mode 2: core of shape"):
+        hosvd(np.ones((2, 2, 3)), factors)
+    with pytest.raises(ValueError, match="mode 3: core of shape"):
+        hosvd(np.ones((2, 2, 2, 1)), factors)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hosvd(np.full((2, 2, 2), bad), factors)
+    with pytest.raises(TypeError, match="three StiefelPoint"):
+        hosvd(np.ones((2, 2)), factors[:2])
+
+
 def test_hosvd_of_tucker_tensor_exact_with_rank_bound_by_columns():
     rng = np.random.default_rng(19)
     core = rng.standard_normal((2, 3, 2))
