@@ -237,9 +237,7 @@ def _convergence_run(cfg: ConvergeConfig, seed: int, variant: str) -> dict:
         schedule = StepSchedule("constant", NEGATIVE_CONTROL_ETA)
         sigma, iters = 0.0, NEGATIVE_CONTROL_ITERS
     task = TaskSpec(target=target, tau=cfg.tau, task_id=seed)
-    _, trace = run_cqd(
-        x0, task, OracleConfig(sigma, seed), schedule, cfg.eps0, iters
-    )
+    _, trace = run_cqd(x0, task, OracleConfig(sigma, seed), schedule, cfg.eps0, iters)
     grads = trace.column("grad_norm_sq")
     losses = trace.column("loss")
     if not len(trace):  # stopped at k=0: no row, so each statistic of a row is nan

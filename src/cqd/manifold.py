@@ -144,7 +144,10 @@ def tucker_from_tensor(x, ranks) -> TuckerPoint:
     ranks = tuple(int(r) for r in ranks)
     _check_ranks(x.shape, ranks)
     # The factor signs, left as computed, cancel against the core's.
-    core, factors, svals = _hosvd_kernel(x, ranks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        core, factors, svals = _hosvd_kernel(x, ranks)
+    if not np.all(np.isfinite(core)):
+        raise ValueError("the projected core overflows float64")
     _check_collapse(svals, ranks)
     return TuckerPoint(core=core, factors=tuple(StiefelPoint(u) for u in factors))
 

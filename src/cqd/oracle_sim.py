@@ -79,8 +79,8 @@ class SimulatedOracle:
             "uinteger": 0,
         }
         self._per_block = max(1, _BLOCK_BYTES // self.target.nbytes)  # draws per block of a mean
-        # The last query and its decoding: the m draws of an ensemble send
-        # the same bytes, which are decoded and CRC-checked once.
+        # The last query and its decoding: calls that repeat one query's bytes (a noise
+        # study's single draws, an ensemble experiment's trials) decode and CRC-check it once.
         self._last: tuple[bytes, DecodedQuery] | None = None
 
     @cached_property
@@ -94,7 +94,8 @@ class SimulatedOracle:
         Each draw has the bits of its own m = 1 call.  The mean sums the draws
         in order, as np.mean of their stack does along axis 0, holding at most
         max(one payload, 128 KiB) of them at once; the median stacks all m.
-        The payload is a fresh array of the target's shape.
+        The payload is a fresh array of the target's shape; an answer that
+        overflows float64 raises FloatingPointError.
         """
         if draw_index < 0:
             raise ValueError("draw_index must be nonnegative")
@@ -109,33 +110,34 @@ class SimulatedOracle:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
         self._key[1] = dq.checksum
-        if m == 1:
-            payload = np.empty(self.target.shape)
-            self._counter[1] = draw_index
-            self._bitgen.state = self._state
-            self._gen.standard_normal(out=payload)
-            payload *= self._scale
-            payload += self.target
-            return OracleResponse(payload=payload, draws_used=1)
-        n = m if agg == "median" else min(m, self._per_block)  # draws per block
-        block = self._block if n <= self._per_block else np.empty((n, *self.target.shape))
-        total = None
-        for start in range(draw_index, draw_index + m, n):
-            rows = block[: min(n, draw_index + m - start)]
-            for i in range(len(rows)):
-                self._counter[1] = start + i
+        with np.errstate(over="raise"):
+            if m == 1:
+                payload = np.empty(self.target.shape)
+                self._counter[1] = draw_index
                 self._bitgen.state = self._state
-                self._gen.standard_normal(out=rows[i])
-            rows *= self._scale
-            rows += self.target
-            if agg == "median":
-                return OracleResponse(payload=np.median(rows, axis=0), draws_used=m)
-            # Summed from -0.0, which adds exactly (numpy's reduce starts at +0.0);
-            # total + d is d + total, bit for bit, so the sum goes on in draw order.
-            if total is not None:
-                rows[0] += total
-            total = np.add.reduce(rows, axis=0, out=total, initial=-0.0)
-        total /= m
+                self._gen.standard_normal(out=payload)
+                payload *= self._scale
+                payload += self.target
+                return OracleResponse(payload=payload, draws_used=1)
+            n = m if agg == "median" else min(m, self._per_block)  # draws per block
+            block = self._block if n <= self._per_block else np.empty((n, *self.target.shape))
+            total = None
+            for start in range(draw_index, draw_index + m, n):
+                rows = block[: min(n, draw_index + m - start)]
+                for i in range(len(rows)):
+                    self._counter[1] = start + i
+                    self._bitgen.state = self._state
+                    self._gen.standard_normal(out=rows[i])
+                rows *= self._scale
+                rows += self.target
+                if agg == "median":
+                    return OracleResponse(payload=np.median(rows, axis=0), draws_used=m)
+                # Summed from -0.0, which adds exactly (numpy's reduce starts at +0.0);
+                # total + d is d + total, bit for bit, so the sum goes on in draw order.
+                if total is not None:
+                    rows[0] += total
+                total = np.add.reduce(rows, axis=0, out=total, initial=-0.0)
+            total /= m
         return OracleResponse(payload=total, draws_used=m)
 
 

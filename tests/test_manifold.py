@@ -428,6 +428,13 @@ def test_tucker_from_tensor_collapse_names_mode_and_position():
         tucker_from_tensor(np.zeros((3, 3, 3)), (1, 1, 1))
 
 
+def test_tucker_from_tensor_refuses_a_core_that_overflows():
+    # Finite entries whose rank-1 core, their sum over sqrt(8), passes float64's
+    # limit: a RuntimeWarning out of the core's matmul, under this suite's filter.
+    with pytest.raises(ValueError, match="the projected core overflows float64"):
+        tucker_from_tensor(np.full((2, 2, 2), 1e308), (1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Retraction axioms (both retractions)
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cqd.optimizer import (
     StepSchedule,
     TaskSpec,
     TraceRow,
-    descent_certificate,
     run_cqd,
     step_size,
 )
@@ -187,6 +186,37 @@ def test_an_overflowing_step_stops_the_run_without_a_runtime_warning(scale, sigm
     assert final is x0
 
 
+def oracle_overflow_problem():
+    """A 4^3 target at the edge of float64, and a start point on it (residual 0)."""
+    target = np.zeros((4, 4, 4))
+    target[0, 0, 0], target[1, 1, 1] = 1.79e308, 1e308
+    return tucker_from_tensor(target, (2, 2, 2)), TaskSpec(target=target, tau=27)
+
+
+# Oracle configs and ensemble sizes whose answer to that target overflows
+# float64: at sigma = 1e308 one draw does, at m = 4 the ensemble's sum does.
+ORACLE_OVERFLOWS = [
+    (OracleConfig(1e308, 0), 1), (OracleConfig(1e308, 1), 1), (OracleConfig(1.0, 0), 4),
+]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("cfg, m", ORACLE_OVERFLOWS)
+def test_an_overflowing_oracle_answer_stops_the_run_at_the_oracle(cfg, m, action):
+    # Each raised a RuntimeWarning out of the oracle, or, with warnings shown,
+    # a ValueError out of the projection of the inf residual.
+    x0, task = oracle_overflow_problem()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        final, trace = run_cqd(
+            x0, task, cfg, StepSchedule("constant", 0.1), 0.1, 5, m=m
+        )
+    assert caught == []
+    assert trace.error.startswith("oracle at k=0: overflow encountered in ")
+    assert len(trace) == 0
+    assert final is x0
+
+
 def test_linalg_error_in_a_stage_becomes_trace_error(monkeypatch):
     import cqd.optimizer as optimizer
 
@@ -252,7 +282,9 @@ def test_trace_rows_round_trip_through_the_compact_columns():
         want = np.array([getattr(row, name) for row in rows])
         got = trace.column(name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert RunTrace().column("budget").dtype == np.array([]).dtype
+    for name in ("k", "loss", "ranks", "budget"):
+        got = RunTrace().column(name)
+        assert got.dtype == np.array([]).dtype and got.shape == (0,)
     # A row written back is read back; its k is its position.
     changed = dataclasses.replace(rows[4], budget=99, loss=1.5, ranks=(1, 2, 3))
     trace.rows[4] = changed
@@ -391,44 +423,6 @@ def test_ensemble_reduces_terminal_loss():
             _, tr = run_cqd(x0, task, OracleConfig(0.5, seed), RM, 0.1, 150, m=m)
             sink.append(tr.rows[-1].loss)
     assert np.mean(m16_losses) < np.mean(m1_losses)
-
-
-# ---------------------------------------------------------------------------
-# descent certificate
-# ---------------------------------------------------------------------------
-
-
-def test_certificate_zero_noise_holds_everywhere():
-    x0, task = setup_problem(15)
-    _, trace = run_cqd(x0, task, OracleConfig(0.0, 15), StepSchedule("constant", 0.1), 0.1, 300)
-    report = descent_certificate(trace, l_est=1.0, sigma=0.0, window=1)
-    assert report.violation_rate == 0.0
-    assert not report.diverged
-
-
-def test_certificate_flags_divergent_step():
-    # eta > 2/L on a quadratic: analytically unstable, loss grows every step.
-    x0, task = setup_problem(16)
-    _, trace = run_cqd(x0, task, OracleConfig(0.0, 16), StepSchedule("constant", 3.0), 0.1, 40)
-    report = descent_certificate(trace, l_est=1.0, sigma=0.0, window=1)
-    assert report.violation_rate == 1.0
-    assert report.diverged
-    losses = trace.column("loss")
-    assert losses[-1] > losses[0]
-
-
-def test_certificate_noisy_violation_rate_small():
-    x0, task = setup_problem(17)
-    _, trace = run_cqd(x0, task, OracleConfig(0.1, 17), RM, 0.1, 2000)
-    report = descent_certificate(trace, l_est=1.0, sigma=0.1, window=100)
-    assert report.violation_rate <= 0.05
-    assert not report.diverged
-
-
-def test_certificate_validates_inputs():
-    trace = RunTrace()
-    with pytest.raises(ValueError):
-        descent_certificate(trace, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

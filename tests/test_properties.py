@@ -5,28 +5,45 @@ same cases; they add to the fixed-seed tests of each module.
 """
 from __future__ import annotations
 
+import math
+import re
+import sys
 import zlib
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqd.manifold import (
+    RankDeficiencyError,
+    gen_synthetic,
     qr_retraction,
     riemannian_grad_tucker,
     tangent_project_stiefel,
     tangent_to_ambient,
+    tucker_from_tensor,
     tucker_retract,
     tucker_to_tensor,
 )
+from cqd.optimizer import OracleConfig, StepSchedule, TaskSpec, run_cqd
+from cqd.oracle_sim import AGGREGATORS
 from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import mask_factorization
 from tests.test_factored import SETTINGS, random_point, tucker_cases
 from tests.test_manifold import negated, point_hosvd, random_tangent
+from tests.test_optimizer import oracle_overflow_problem
 from tests.test_spectral_masking import superdiagonal
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 H = 1e-5  # central-difference step of the first-order checks, as in criterion 4
+# An extreme float half the time, so that about a third of the robustness
+# test's inputs pass every constructor and reach the loop.
+EXTREME = st.one_of(
+    st.floats(0.1, 10.0),
+    st.sampled_from(
+        [0.0, 1e300, 1e-300, -1e300, sys.float_info.max, math.inf, -math.inf, math.nan]
+    ),
+)
 
 
 @st.composite
@@ -126,3 +143,55 @@ def test_tucker_retraction_axioms(case):
     minus = tucker_to_tensor(tucker_retract(h, negated(t), H))
     tol = 1e-6 * max(scale, np.max(np.abs(emb)))
     assert np.max(np.abs((plus - minus) / (2 * H) - emb)) <= tol
+
+
+@st.composite
+def tiny_problems(draw):
+    """(instance, target, ranks): a tiny synthetic problem, its two tensors
+    each scaled by an extreme float."""
+    shape, ranks, seed = draw(tucker_cases(max_dim=4))
+    instance, target = gen_synthetic(shape, ranks, 0.1, seed)
+    with np.errstate(all="ignore"):  # inf * 0 is nan: for the API to refuse
+        return draw(EXTREME) * instance, draw(EXTREME) * target, ranks
+
+
+# The oracle overflows of test_optimizer: target and instance at the edge of float64.
+EDGE = oracle_overflow_problem()[1].target
+# A start point that builds but whose dense tensor overflows float64.
+DENSE_EDGE = sys.float_info.max * np.array([[[0, 0.9], [0, 0.5]], [[0.9, 0], [0, 0.5]]])
+
+
+@settings(SETTINGS, max_examples=200)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=1, m=1, agg="mean", tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1.0, eta0=0.1, seed=0, m=4, agg="mean", tau=27)
+@example(problem=(DENSE_EDGE, DENSE_EDGE, (2, 2, 1)),
+         sigma=0.1, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
+@example(problem=(np.full((2, 2, 2), 1e308), EDGE, (1, 1, 1)),
+         sigma=0.1, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
+@given(
+    problem=tiny_problems(),
+    sigma=EXTREME,
+    eta0=EXTREME,
+    seed=st.integers(0, 2**64 - 1),
+    m=st.sampled_from([1, 4]),
+    agg=st.sampled_from(AGGREGATORS),
+    tau=st.sampled_from([1, 8, math.inf]),
+)
+def test_every_input_is_refused_when_built_or_runs_to_a_trace(
+    problem, sigma, eta0, seed, m, agg, tau
+):
+    # Under the suite's error::RuntimeWarning filter, so a numpy warning
+    # inside the loop fails this test too.
+    instance, target, ranks = problem
+    try:
+        x0 = tucker_from_tensor(instance, ranks)
+        task = TaskSpec(target=target, tau=tau)
+        cfg = OracleConfig(sigma, seed)
+        schedule = StepSchedule("constant", eta0)
+    except (ValueError, TypeError, RankDeficiencyError):
+        return
+    final, trace = run_cqd(x0, task, cfg, schedule, 0.1, 5, m=m, agg=agg)
+    stages = "loss|densify|mask|oracle|project|retract"
+    assert trace.error is None or re.fullmatch(rf"({stages}) at k=\d+: .+", trace.error)
+    assert np.all(np.isfinite(final.core))
