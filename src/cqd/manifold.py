@@ -173,7 +173,7 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
     z = np.ascontiguousarray(euclid_grad, dtype=np.float64)
     if z.ndim not in (3, 4) or z.shape[-3:] != shape:
         raise ValueError(f"gradient shape {z.shape} does not match point shape {shape}")
-    if not np.all(np.isfinite(z)):
+    if np.count_nonzero(np.isfinite(z)) != z.size:
         raise ValueError("gradient entries must be finite")
     _check_collapse(h.svals, g.shape)
     stacked = z.ndim == 4
@@ -199,10 +199,8 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
         u, s = us[mode], h.svals[mode]
         coeff = (unfolded[mode] @ _unfold(g, mode).T) / (s * s)
         factor_dirs.append(coeff - u @ (u.T @ coeff))
-    tangents = tuple(
-        TuckerTangent(core_dir=core_dir[i], factor_dirs=tuple(d[i] for d in factor_dirs))
-        for i in range(b)
-    )
+    d1, d2, d3 = factor_dirs
+    tangents = tuple([TuckerTangent(core_dir[i], (d1[i], d2[i], d3[i])) for i in range(b)])
     return tangents if stacked else tangents[0]
 
 
@@ -224,9 +222,11 @@ def tangent_norm_sq(h: HosvdFactorization, t: TuckerTangent) -> float:
     ||dG||^2 + sum_n ||dU_n G_(n)||^2, and in the HOSVD gauge
     ||dU_n G_(n)||^2 = ||dU_n diag(s_n)||^2.
     """
-    total = float(np.sum(t.core_dir**2))
+    # np.add.reduce(x * x) has the bits of np.sum(x**2), without np.sum's wrapper.
+    total = float(np.add.reduce(t.core_dir * t.core_dir, axis=None))
     for d, s in zip(t.factor_dirs, h.svals):
-        total += float(np.sum((d * s) ** 2))
+        ds = d * s
+        total += float(np.add.reduce(ds * ds, axis=None))
     return total
 
 
@@ -254,10 +254,8 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
     r1, r2, r3 = ranks = g.shape
     c = np.zeros((2 * r1, 2 * r2, 2 * r3))
     c[:r1, :r2, :r3] = g + eta * direction.core_dir
-    c[r1:, :r2, :r3] = eta * g
-    c[:r1, r2:, :r3] = eta * g
-    c[:r1, :r2, r3:] = eta * g
-    blocks = [np.hstack([u, d]) for u, d in zip(h.factors, direction.factor_dirs)]
+    c[r1:, :r2, :r3] = c[:r1, r2:, :r3] = c[:r1, :r2, r3:] = eta * g
+    blocks = [np.concatenate((u, d), axis=1) for u, d in zip(h.factors, direction.factor_dirs)]
     qs = []
     for mode, (q, r) in enumerate(_per_shape(np.linalg.qr, blocks)):
         qs.append(q)

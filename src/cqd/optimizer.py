@@ -117,9 +117,14 @@ class _TraceRows(Sequence):
     def append(self, row: TraceRow) -> None:
         if row.k != len(self):
             raise ValueError(f"row {len(self)} must have k={len(self)}, got k={row.k}")
-        for name, col in self._cols.items():
-            col.append(getattr(row, name))
-        self._ranks.extend(row.ranks)
+        self._add(row.loss, row.grad_norm_sq, row.ranks, row.budget, row.eta, row.eps)
+
+    def _add(self, loss, grad_norm_sq, ranks, budget, eta, eps) -> None:
+        # The next row from its values, as the loop appends it: no TraceRow is built.
+        # The scalars go to the columns in _SCALARS order.
+        for col, value in zip(self._cols.values(), (loss, grad_norm_sq, budget, eta, eps)):
+            col.append(value)
+        self._ranks.extend(ranks)
 
     def __setitem__(self, i: int, row: TraceRow) -> None:
         i = range(len(self))[i]
@@ -149,7 +154,10 @@ class RunTrace:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
-        """Field `name` of every row, as np.array of the rows' values holds it."""
+        """Field `name` of every row, as np.array of the rows' values holds it;
+        KeyError for a name that is no TraceRow field, even with no rows."""
+        if name not in TraceRow.__dataclass_fields__:
+            raise KeyError(name)
         rows = self.rows
         if not len(rows):
             return np.array([])
@@ -211,7 +219,7 @@ def run_cqd(
             with np.errstate(over="ignore", invalid="ignore"):
                 ambient = tucker_to_tensor(x)
                 residual = np.subtract(ambient, task.target, out=residuals[0])
-                loss = 0.5 * float(np.sum(residual**2))
+                loss = 0.5 * float(np.add.reduce(residual * residual, axis=None))
             if not math.isfinite(loss):
                 trace.error = f"loss at k={k}: non-finite loss {loss}"
                 return good, trace
@@ -235,8 +243,7 @@ def run_cqd(
                 np.subtract(response.payload, ambient, out=residuals[1])
                 true_grad, step_dir = riemannian_grad_tucker(h, residuals)
                 grad_norm_sq = tangent_norm_sq(h, true_grad)
-                trace.rows.append(TraceRow(k=k, loss=loss, grad_norm_sq=grad_norm_sq, ranks=ranks,
-                                           budget=achieved, eta=eta, eps=eps))
+                trace.rows._add(loss, grad_norm_sq, ranks, achieved, eta, eps)
                 if iterate_hook is not None:
                     iterate_hook(k, ambient)
 

@@ -73,7 +73,7 @@ def encode(core, task_id: int, seed: int, eps_rel: float) -> bytes:
     core = np.ascontiguousarray(core, dtype="<f8")
     # The header's ranks are those of the core it carries; any other ndim raises ValueError.
     r1, r2, r3 = core.shape
-    if not np.all(np.isfinite(core)):
+    if np.count_nonzero(np.isfinite(core)) != core.size:
         raise ValueError("core entries must be finite")
     if max(r1, r2, r3) > _MAX_RANK:
         raise CapacityError(f"ranks {core.shape} exceed uint16 capacity")
@@ -111,7 +111,7 @@ def decode(data: bytes) -> DecodedQuery:
             f"payload of {len(payload)} bytes inconsistent with ranks ({r1}, {r2}, {r3})"
         )
     core = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(r1, r2, r3)
-    if not np.all(np.isfinite(core)):
+    if np.count_nonzero(np.isfinite(core)) != core.size:
         raise FramingError("payload contains non-finite values")
     return DecodedQuery(
         ranks=(r1, r2, r3),

@@ -22,9 +22,12 @@ def _check_eps(eps_rel: float) -> float:
 
 def _kept(s: np.ndarray, eps_rel: float) -> int:
     """How many of the sorted svals `s` the mask keeps: the count of s_i >= eps * s_0."""
-    if s.size == 0 or s[0] <= 0.0:
+    # Python floats: the same IEEE product and comparisons as numpy's, without its calls.
+    vals = s.tolist()
+    if not vals or vals[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s >= eps_rel * s[0]))
+    cut = eps_rel * vals[0]
+    return len([v for v in vals if v >= cut])
 
 
 def mask_factorization(f: HosvdFactorization, eps_rel: float) -> Ranks3:

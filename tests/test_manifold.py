@@ -260,6 +260,23 @@ def test_tangent_norm_matches_ambient_embedding():
     assert tangent_norm_sq(h, t) == pytest.approx(float(np.sum(ambient**2)), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "shape, ranks", [((6, 6, 6), (2, 2, 2)), ((8, 7, 6), (3, 2, 2)), ((48, 48, 48), (2, 2, 2))]
+)
+def test_tangent_norm_has_the_bits_of_one_np_sum_per_component(shape, ranks):
+    # Exact equality: the norm sums each component as np.sum does, in this order.
+    # Twenty instances, since a sum in another order (np.vdot) still gives these
+    # bits for most of them.
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        h = point_hosvd(tucker_from_tensor(rng.standard_normal(shape), ranks))
+        t = riemannian_grad_tucker(h, rng.standard_normal(shape))
+        want = float(np.sum(t.core_dir**2))
+        for d, s in zip(t.factor_dirs, h.svals):
+            want += float(np.sum((d * s) ** 2))
+        assert tangent_norm_sq(h, t) == want
+
+
 def test_projection_shrinks_norm():
     rng = np.random.default_rng(17)
     p = random_tucker_point(rng)

@@ -285,12 +285,27 @@ def test_trace_rows_round_trip_through_the_compact_columns():
     for name in ("k", "loss", "ranks", "budget"):
         got = RunTrace().column(name)
         assert got.dtype == np.array([]).dtype and got.shape == (0,)
+    # A name that is no TraceRow field is refused, whether or not the trace has rows.
+    for t in (trace, RunTrace()):
+        with pytest.raises(KeyError, match="nonsense"):
+            t.column("nonsense")
     # A row written back is read back; its k is its position.
     changed = dataclasses.replace(rows[4], budget=99, loss=1.5, ranks=(1, 2, 3))
     trace.rows[4] = changed
     assert trace.rows[4] == changed and trace.rows[3] == rows[3]
     with pytest.raises(ValueError, match="k=4"):
         trace.rows[4] = rows[5]
+
+
+@pytest.mark.parametrize("shape, iters", [((6, 6, 6), 40), ((24, 24, 24), 5)])
+def test_every_row_loss_has_the_bits_of_np_sum_of_the_squared_residual(shape, iters):
+    x0, task = setup_problem(23, shape=shape)
+    ambients = []
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 23), RM, 0.1, iters,
+                       iterate_hook=lambda k, ambient: ambients.append(ambient.copy()))
+    assert trace.error is None and len(ambients) == iters
+    want = [0.5 * float(np.sum((a - task.target) ** 2)) for a in ambients]
+    assert [row.loss for row in trace.rows] == want
 
 
 def test_a_trace_retains_under_100_bytes_per_iteration():

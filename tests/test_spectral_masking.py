@@ -18,6 +18,7 @@ from cqd.tensor_core import (
     HosvdFactorization,
     _mode_mult,
     _multi_mult,
+    _trusted,
     hosvd,
     tail_energy,
     truncated_reconstruct,
@@ -66,6 +67,31 @@ def test_mask_zero_state_overrides_literal_indicator():
     assert np.all(svals >= 0.5 * svals[0])
     # ... but a zero state carries no information, so nothing is kept.
     assert mask_factorization(superdiagonal(svals), 0.5) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "svals, eps",
+    [
+        ((3.0, 0.1 * 3.0, 0.3, 0.0), 0.1),  # one sval exactly eps * s_0; 0.3 rounds below it
+        ((10.0, 1.0, 0.5), 0.1),
+        ((0.0, 0.0, 0.0), 0.5),
+        ((2.5,), 0.999),
+        ((np.inf, 1.0, 0.0), 0.5),
+        ((np.inf, np.inf, 1.0), 0.5),
+    ],
+)
+def test_mask_counts_the_svals_at_or_above_eps_times_the_first(svals, eps):
+    # Hand-built, as the mask reads only the svals: mode n holds the first n + 1, mode 2 all.
+    spectra = tuple(np.array(svals[: n + 1] if n < 2 else svals) for n in range(3))
+    f = _trusted(
+        HosvdFactorization,
+        core=np.zeros(tuple(s.size for s in spectra)),
+        factors=tuple(np.eye(s.size) for s in spectra),
+        svals=spectra,
+    )
+    # A zero state keeps nothing (see test_mask_zero_state_overrides_literal_indicator).
+    want = tuple(int(np.count_nonzero(s >= eps * s[0])) if s[0] > 0 else 0 for s in spectra)
+    assert mask_factorization(f, eps) == want
 
 
 def test_mask_empty_svals():
