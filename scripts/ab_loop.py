@@ -6,8 +6,8 @@ Each tree's ``src/cqd`` is copied into a temporary directory as a package of
 its own (``cqd_old``, ``cqd_new``) and both are imported into one process;
 that works because no module in ``src/cqd`` imports ``cqd.`` by absolute
 name (the script refuses a tree where one does).  The runs' inputs are
-loopbench's, built from the ``WORKLOADS`` table of ``byte_identity.py``:
-instance seeds 0-2 with noise floor, sigma, schedule and eps0 as there.
+loopbench's, built by ``byte_identity.run_args`` from its ``WORKLOADS``
+table, instance seeds 0-2.
 
 A round is one ``run_cqd`` call per seed; rounds alternate between the
 trees, the first side swapping every round, after one untimed warm-up round
@@ -39,7 +39,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from byte_identity import WORKLOADS  # noqa: E402
+from byte_identity import WORKLOADS, run_args  # noqa: E402
 
 SEEDS = (0, 1, 2)
 
@@ -56,17 +56,7 @@ def load(tree: Path, name: str, into: Path):
 
 def cases(cqd, workload: str) -> list[tuple]:
     """run_cqd's arguments for each seed, as byte_identity.py builds them."""
-    shape, ranks, tau, m, iters = WORKLOADS[workload]
-    out = []
-    for seed in SEEDS:
-        instance, target = cqd.gen_synthetic(shape, ranks, 0.1, seed)
-        out.append((
-            cqd.tucker_from_tensor(instance, ranks),
-            cqd.TaskSpec(target=target, tau=tau, task_id=seed),
-            cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
-            0.1, iters, m, "mean",
-        ))
-    return out
+    return [run_args(cqd, WORKLOADS[workload], seed) for seed in SEEDS]
 
 
 def round_us(cqd, args_list) -> float:

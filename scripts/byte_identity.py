@@ -43,6 +43,17 @@ WORKLOADS = {
 EXPERIMENTS = ("projopt", "tailbound", "converge", "ratedist", "ensemble")
 
 
+def run_args(cqd, workload: tuple, seed: int, agg: str = "mean") -> tuple:
+    """run_cqd's arguments for a WORKLOADS row and instance seed, as loopbench
+    builds them: noise floor and sigma 0.1, Robbins-Monro (0.5, 100), eps0 0.1."""
+    shape, ranks, tau, m, iters = workload
+    instance, target = cqd.gen_synthetic(shape, ranks, 0.1, seed)
+    return (cqd.tucker_from_tensor(instance, ranks),
+            cqd.TaskSpec(target=target, tau=tau, task_id=seed),
+            cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
+            0.1, iters, m, agg)
+
+
 def digest(name: str, *parts) -> None:
     h = hashlib.sha256()
     for part in parts:
@@ -79,28 +90,18 @@ def main() -> None:
     if Path(cqd.__file__).resolve().parent.parent != src:
         raise SystemExit(f"cqd imported from {cqd.__file__}, not from {src}")
 
-    for name, (shape, ranks, tau, m, iters) in WORKLOADS.items():
-        for agg in ("mean", "median") if m > 1 else ("mean",):
+    for name, workload in WORKLOADS.items():
+        for agg in ("mean", "median") if workload[3] > 1 else ("mean",):
             for seed in range(3):
-                instance, target = gen_synthetic(shape, ranks, 0.1, seed)
-                x0 = tucker_from_tensor(instance, ranks)
-                final, trace = cqd.run_cqd(
-                    x0, cqd.TaskSpec(target=target, tau=tau, task_id=seed),
-                    cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
-                    0.1, iters, m, agg,
-                )
+                x0, *rest = run_args(cqd, workload, seed, agg)
+                final, trace = cqd.run_cqd(x0, *rest)
                 digest(f"{name}/{agg}/seed{seed}", trace.rows, trace.error,
                        *point_bytes(x0), *point_bytes(final))
 
+    ensemble24 = ((24, 24, 24), (2, 2, 2), 27, 3, 10)
     for agg in ("mean", "median"):
         for seed in range(2):
-            instance, target = gen_synthetic((24, 24, 24), (2, 2, 2), 0.1, seed)
-            final, trace = cqd.run_cqd(
-                tucker_from_tensor(instance, (2, 2, 2)),
-                cqd.TaskSpec(target=target, tau=27, task_id=seed),
-                cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
-                0.1, 10, 3, agg,
-            )
+            final, trace = cqd.run_cqd(*run_args(cqd, ensemble24, seed, agg))
             digest(f"ensemble24-m3/{agg}/seed{seed}", trace.rows, trace.error, *point_bytes(final))
 
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)

@@ -114,13 +114,8 @@ class _TraceRows(Sequence):
             **{name: col[i] for name, col in self._cols.items()},
         )
 
-    def append(self, row: TraceRow) -> None:
-        if row.k != len(self):
-            raise ValueError(f"row {len(self)} must have k={len(self)}, got k={row.k}")
-        self._add(row.loss, row.grad_norm_sq, row.ranks, row.budget, row.eta, row.eps)
-
-    def _add(self, loss, grad_norm_sq, ranks, budget, eta, eps) -> None:
-        # The next row from its values, as the loop appends it: no TraceRow is built.
+    def append(self, loss, grad_norm_sq, ranks, budget, eta, eps) -> None:
+        # Row k = len(self) from its values, as the loop appends it: no TraceRow is built.
         # The scalars go to the columns in _SCALARS order.
         for col, value in zip(self._cols.values(), (loss, grad_norm_sq, budget, eta, eps)):
             col.append(value)
@@ -243,7 +238,7 @@ def run_cqd(
                 np.subtract(response.payload, ambient, out=residuals[1])
                 true_grad, step_dir = riemannian_grad_tucker(h, residuals)
                 grad_norm_sq = tangent_norm_sq(h, true_grad)
-                trace.rows._add(loss, grad_norm_sq, ranks, achieved, eta, eps)
+                trace.rows.append(loss, grad_norm_sq, ranks, achieved, eta, eps)
                 if iterate_hook is not None:
                     iterate_hook(k, ambient)
 

@@ -122,14 +122,12 @@ class SimulatedOracle:
             n = m if agg == "median" else min(m, self._per_block)  # draws per block
             block = self._block if n <= self._per_block else np.empty((n, *self.target.shape))
             total = None
-            counter, bitgen, state = self._counter, self._bitgen, self._state
-            normal = self._gen.standard_normal
             for start in range(draw_index, draw_index + m, n):
                 rows = block[: min(n, draw_index + m - start)]
                 for i in range(len(rows)):
-                    counter[1] = start + i
-                    bitgen.state = state
-                    normal(out=rows[i])
+                    self._counter[1] = start + i
+                    self._bitgen.state = self._state
+                    self._gen.standard_normal(out=rows[i])
                 rows *= self._scale
                 rows += self.target
                 if agg == "median":

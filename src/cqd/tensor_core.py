@@ -137,11 +137,6 @@ def _per_shape(fn, arrays) -> list:
     the arrays of that shape, if the stack fits in 128 KiB.  fn maps a stack
     slice by slice (numpy's svd and qr do), so each result has the bits of
     a call on its array alone."""
-    n = len(arrays)
-    if n > 1 and n * arrays[0].nbytes <= _STACK_BYTES and len({a.shape for a in arrays}) == 1:
-        # The loop's case, one shape: its one call, without the grouping.
-        res = fn(np.array(arrays))
-        return list(zip(*res) if isinstance(res, tuple) else res)
     groups: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
         groups.setdefault(a.shape, []).append(i)
