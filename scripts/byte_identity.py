@@ -13,6 +13,8 @@ Each line is the first 16 hex digits of a sha256 and the output's name:
   with the mean and with the median);
 - ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, mean and median, seeds 0-1,
   10 iterations, a shape whose draws the oracle makes one per block;
+- ``ensemble40-m3``: the same at 40^3, a target large enough that ``run_cqd``
+  makes the oracle's draws on its worker thread;
 - the 6^3, sigma=0, constant eta=3, 2000-iteration diverging run;
 - ``hosvd`` on random, thin (5x1x2), rank-one and all-zero tensors, and on
   the core and factors of seeded Tucker points (listed as ``thin_hosvd``, the
@@ -98,11 +100,13 @@ def main() -> None:
                 digest(f"{name}/{agg}/seed{seed}", trace.rows, trace.error,
                        *point_bytes(x0), *point_bytes(final))
 
-    ensemble24 = ((24, 24, 24), (2, 2, 2), 27, 3, 10)
-    for agg in ("mean", "median"):
-        for seed in range(2):
-            final, trace = cqd.run_cqd(*run_args(cqd, ensemble24, seed, agg))
-            digest(f"ensemble24-m3/{agg}/seed{seed}", trace.rows, trace.error, *point_bytes(final))
+    for n in (24, 40):
+        ensemble = ((n, n, n), (2, 2, 2), 27, 3, 10)
+        for agg in ("mean", "median"):
+            for seed in range(2):
+                final, trace = cqd.run_cqd(*run_args(cqd, ensemble, seed, agg))
+                digest(f"ensemble{n}-m3/{agg}/seed{seed}", trace.rows, trace.error,
+                       *point_bytes(final))
 
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
     final, trace = cqd.run_cqd(

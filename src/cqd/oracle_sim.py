@@ -55,8 +55,8 @@ class SimulatedOracle:
     Generator; every draw resets the bit generator's state to that key and
     counter with an empty buffer, which gives bit for bit the stream of a
     fresh ``Philox(counter=..., key=...)`` without its set-up cost. That
-    shared state means one oracle instance must not serve concurrent
-    ``infer`` calls.
+    shared state means one oracle must not serve concurrent ``infer`` calls;
+    each ``run_cqd`` serves its own from one thread, one draw at a time.
     """
 
     def __init__(self, cfg: OracleConfig, target):

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cqd.manifold import TuckerPoint, gen_synthetic, tucker_from_tensor, tucker_to_tensor
+import cqd.optimizer as optimizer
+from cqd.manifold import (
+    RankDeficiencyError,
+    TuckerPoint,
+    gen_synthetic,
+    riemannian_grad_tucker,
+    tucker_from_tensor,
+    tucker_to_tensor,
+)
 from cqd.optimizer import (
     OracleConfig,
     RunTrace,
@@ -17,10 +29,13 @@ from cqd.optimizer import (
     run_cqd,
     step_size,
 )
+from cqd.oracle_sim import ensemble_infer
 from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization
 from cqd.tensor_core import hosvd, truncated_reconstruct
 
 RM = StepSchedule("robbins_monro", 0.5, 100.0)
+# 500 KiB of target: run_cqd makes the oracle's draws on a worker thread.
+BIG = (40, 40, 40)
 
 
 def setup_problem(seed, shape=(6, 6, 6), ranks=(2, 2, 2), tau=27, noise_floor=0.1):
@@ -133,16 +148,16 @@ def test_reproducible_traces():
 
 
 def test_rank_deficiency_aborts_with_partial_trace():
-    rng = np.random.default_rng(11)
-    instance, _ = gen_synthetic((4, 4, 4), (2, 2, 2), 0.2, 11)
-    x0 = tucker_from_tensor(instance, (2, 2, 2))
-    # Target zero: the unit exact step lands on the zero tensor, which
-    # cannot support rank (2,2,2).
-    task = TaskSpec(target=np.zeros((4, 4, 4)), tau=64, task_id=11)
-    _, trace = run_cqd(x0, task, OracleConfig(0.0, 11), StepSchedule("constant", 1.0), 0.1, 5)
-    assert trace.error is not None
-    assert "rank_deficiency" in trace.error
-    assert len(trace) == 1
+    for shape in ((4, 4, 4), BIG):
+        instance, _ = gen_synthetic(shape, (2, 2, 2), 0.2, 11)
+        x0 = tucker_from_tensor(instance, (2, 2, 2))
+        # Target zero: the unit exact step lands on the zero tensor, which
+        # cannot support rank (2,2,2).
+        task = TaskSpec(target=np.zeros(shape), tau=64, task_id=11)
+        _, trace = run_cqd(x0, task, OracleConfig(0.0, 11), StepSchedule("constant", 1.0), 0.1, 5)
+        assert trace.error is not None
+        assert "rank_deficiency" in trace.error
+        assert len(trace) == 1
 
 
 def test_diverging_run_stops_with_error_instead_of_raising():
@@ -186,26 +201,30 @@ def test_an_overflowing_step_stops_the_run_without_a_runtime_warning(scale, sigm
     assert final is x0
 
 
-def oracle_overflow_problem():
-    """A 4^3 target at the edge of float64, and a start point on it (residual 0)."""
-    target = np.zeros((4, 4, 4))
+def oracle_overflow_problem(n=4):
+    """An n^3 target at the edge of float64, and a start point on it (residual 0)."""
+    target = np.zeros((n, n, n))
     target[0, 0, 0], target[1, 1, 1] = 1.79e308, 1e308
     return tucker_from_tensor(target, (2, 2, 2)), TaskSpec(target=target, tau=27)
 
 
-# Oracle configs and ensemble sizes whose answer to that target overflows
-# float64: at sigma = 1e308 one draw does, at m = 4 the ensemble's sum does.
+# Oracle configs, ensemble sizes and target sides n whose answer overflows
+# float64: at sigma = 1e308 one 4^3 draw does, at m = 4 the ensemble's sum
+# does, also at 40^3, where a worker thread makes the draws.
 ORACLE_OVERFLOWS = [
-    (OracleConfig(1e308, 0), 1), (OracleConfig(1e308, 1), 1), (OracleConfig(1.0, 0), 4),
+    pytest.param(OracleConfig(1e308, 0), 1, 4, id="cfg0-1"),
+    pytest.param(OracleConfig(1e308, 1), 1, 4, id="cfg1-1"),
+    pytest.param(OracleConfig(1.0, 0), 4, 4, id="cfg2-4"),
+    pytest.param(OracleConfig(1.0, 0), 4, 40, id="cfg2-4-40cube"),
 ]
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
-@pytest.mark.parametrize("cfg, m", ORACLE_OVERFLOWS)
-def test_an_overflowing_oracle_answer_stops_the_run_at_the_oracle(cfg, m, action):
+@pytest.mark.parametrize("cfg, m, n", ORACLE_OVERFLOWS)
+def test_an_overflowing_oracle_answer_stops_the_run_at_the_oracle(cfg, m, n, action):
     # Each raised a RuntimeWarning out of the oracle, or, with warnings shown,
     # a ValueError out of the projection of the inf residual.
-    x0, task = oracle_overflow_problem()
+    x0, task = oracle_overflow_problem(n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action, RuntimeWarning)
         final, trace = run_cqd(
@@ -403,6 +422,160 @@ def test_iterate_hook_sees_every_iterate():
     )
     assert [k for k, _ in seen] == list(range(20))
     assert all(shape == (6, 6, 6) for _, shape in seen)
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
+def test_iterate_hook_runs_under_the_callers_floating_point_error_state(shape):
+    # An overflow in the caller's hook is the caller's to see, not the loop's to drop.
+    x0, task = setup_problem(12, shape=shape)
+    seen = []
+    with np.errstate(over="raise", invalid="warn", divide="ignore"):
+        want = np.geterr()
+        run_cqd(x0, task, OracleConfig(0.1, 12), RM, 0.1, 3,
+                iterate_hook=lambda k, amb: seen.append(np.geterr()))
+    assert seen == [want] * 3
+
+
+# ---------------------------------------------------------------------------
+# the oracle's worker thread
+# ---------------------------------------------------------------------------
+
+
+def make_inline(monkeypatch):
+    """Make every later run call its oracle on the calling thread, whatever its size."""
+    monkeypatch.setattr(optimizer, "_WORKER_BYTES", math.inf)
+
+
+def from_call(n, fn, then):
+    """fn for the first n calls, then `then`."""
+    calls = itertools.count()
+    return lambda *args, **kwargs: (fn if next(calls) < n else then)(*args, **kwargs)
+
+
+def raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def point_bytes(point):
+    return [point.core.tobytes()] + [f.u.tobytes() for f in point.factors]
+
+
+def run_bytes(point, trace):
+    columns = ("loss", "grad_norm_sq", "ranks", "budget", "eta", "eps")
+    return [trace.column(name).tobytes() for name in columns], trace.error, point_bytes(point)
+
+
+@pytest.mark.parametrize("m, agg", [(1, "mean"), (3, "mean"), (3, "median")])
+def test_the_worker_path_gives_the_bits_of_the_inline_path(monkeypatch, m, agg):
+    x0, task = setup_problem(3, shape=BIG)
+    here, threads = threading.current_thread(), []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return ensemble_infer(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "ensemble_infer", recording)
+    args = (x0, task, OracleConfig(0.1, 3), RM, 0.1, 8, m, agg)
+    worker = run_bytes(*run_cqd(*args))
+    assert worker[1] is None and len(threads) == 8 and here not in threads
+    make_inline(monkeypatch)
+    threads.clear()
+    assert run_bytes(*run_cqd(*args)) == worker
+    assert threads == [here] * 8
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
+@pytest.mark.parametrize("stage, exc", [
+    ("hosvd", np.linalg.LinAlgError("SVD did not converge")),
+    ("ensemble_infer", FloatingPointError("overflow encountered in add")),
+])
+def test_a_non_finite_loss_stops_the_run_before_a_failing_stage(monkeypatch, shape, stage, exc):
+    x0, task = setup_problem(5, shape=shape)
+    inf = np.full(shape, np.inf)
+    monkeypatch.setattr(optimizer, "tucker_to_tensor", from_call(1, tucker_to_tensor, lambda p: inf))
+    monkeypatch.setattr(optimizer, stage, from_call(1, getattr(optimizer, stage), raising(exc)))
+    final, trace = run_cqd(x0, task, OracleConfig(0.1, 5), RM, 0.1, 5)
+    assert trace.error == "loss at k=1: non-finite loss inf"
+    assert len(trace) == 1 and final is x0
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
+def test_a_floating_point_error_in_the_densify_is_reported_at_the_densify(monkeypatch, shape):
+    # It comes before the mask's error too, as the densify ran first.
+    x0, task = setup_problem(5, shape=shape)
+    failing = raising(FloatingPointError("underflow encountered in matmul"))
+    monkeypatch.setattr(optimizer, "tucker_to_tensor", from_call(1, tucker_to_tensor, failing))
+    failing = raising(np.linalg.LinAlgError("SVD did not converge"))
+    monkeypatch.setattr(optimizer, "hosvd", from_call(1, hosvd, failing))
+    final, trace = run_cqd(x0, task, OracleConfig(0.1, 5), RM, 0.1, 5)
+    assert trace.error == "densify at k=1: underflow encountered in matmul"
+    assert len(trace) == 1 and final is x0
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
+def test_a_failing_oracle_stops_the_run_before_a_failing_projection(monkeypatch, shape):
+    x0, task = setup_problem(5, shape=shape)
+    args = (task, OracleConfig(0.1, 5), RM, 0.1)
+    x1, _ = run_cqd(x0, *args, 1)
+    # The projection fails from the second iteration on, counted by its HOSVDs.
+    hosvds = []
+    monkeypatch.setattr(optimizer, "hosvd", lambda *a: hosvds.append(1) or hosvd(*a))
+
+    def projection(h, z):
+        if len(hosvds) > 1:
+            raise RankDeficiencyError("collapsed")
+        return riemannian_grad_tucker(h, z)
+
+    monkeypatch.setattr(optimizer, "riemannian_grad_tucker", projection)
+    final, trace = run_cqd(x0, *args, 5)
+    assert trace.error == "project at k=1: rank_deficiency: collapsed"
+    assert len(trace) == 1 and point_bytes(final) == point_bytes(x1)
+    hosvds.clear()
+    failing = raising(FloatingPointError("overflow encountered in add"))
+    monkeypatch.setattr(optimizer, "ensemble_infer", from_call(1, ensemble_infer, failing))
+    final, trace = run_cqd(x0, *args, 5)
+    assert trace.error == "oracle at k=1: overflow encountered in add"
+    assert len(trace) == 1 and point_bytes(final) == point_bytes(x1)
+
+
+def test_a_run_leaves_no_thread_running(monkeypatch):
+    x0, task = setup_problem(6, shape=BIG)
+    args = (x0, task, OracleConfig(0.1, 6), RM, 0.1, 3)
+    before = threading.active_count()
+    _, trace = run_cqd(*args)
+    assert trace.error is None and threading.active_count() == before
+
+    def hook(k, ambient):
+        raise KeyError("stop")
+
+    with pytest.raises(KeyError, match="stop"):
+        run_cqd(*args, iterate_hook=hook)
+    assert threading.active_count() == before
+    # A non-finite loss stops the run while its first draw is still being made.
+    drawn = []
+
+    def slow(*a, **kw):
+        time.sleep(0.2)
+        drawn.append(ensemble_infer(*a, **kw))
+
+    monkeypatch.setattr(optimizer, "ensemble_infer", slow)
+    monkeypatch.setattr(optimizer, "tucker_to_tensor", lambda p: np.full(BIG, np.inf))
+    final, trace = run_cqd(*args)
+    assert trace.error == "loss at k=0: non-finite loss inf" and final is x0
+    assert len(drawn) == 1 and threading.active_count() == before
+
+
+def test_the_draw_runs_under_the_callers_floating_point_error_state(monkeypatch):
+    # At sigma = 1e-302 some 40^3 draws scale below float64's normal range.
+    x0, task = setup_problem(7, shape=BIG)
+    for _ in range(2):
+        with np.errstate(under="raise"):
+            final, trace = run_cqd(x0, task, OracleConfig(1e-302, 7), RM, 0.1, 3)
+        assert trace.error == "oracle at k=0: underflow encountered in multiply" and final is x0
+        make_inline(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
