@@ -20,8 +20,9 @@ from .tensor_core import (
     as_tensor3,
 )
 
-# QR/HOSVD diagonal entries at or below this are treated as rank collapse.
+# Rank collapse: a singular value or |diag(R)| at or below SINGULARITY_TOL times the largest,
 SINGULARITY_TOL = 1e-12
+_TINY = 1e-150  # or at or below this, whose square (the projection's s^2) is still normal
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -93,10 +94,10 @@ def qr_retraction(y) -> StiefelPoint:
     """Orthonormalize via reduced QR, sign-corrected to a nonnegative R diagonal."""
     y = as_matrix(y)
     q, r = np.linalg.qr(y)
-    diag = np.diagonal(r)
-    if np.any(np.abs(diag) <= SINGULARITY_TOL):
-        raise RankDeficiencyError("input is rank deficient: |diag(R)| <= 1e-12")
-    return StiefelPoint(q * np.where(diag < 0, -1.0, 1.0))
+    size = np.abs(np.diagonal(r))
+    if np.any(size <= max(SINGULARITY_TOL * size.max(initial=0.0), _TINY)):
+        raise RankDeficiencyError("input is rank deficient: |diag(R)| <= 1e-12 max|diag(R)|")
+    return StiefelPoint(q * np.where(np.diagonal(r) < 0, -1.0, 1.0))
 
 
 def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
@@ -131,11 +132,13 @@ def tucker_to_tensor(p: TuckerPoint) -> np.ndarray:
     return _multi_mult(p.core, tuple(f.u for f in p.factors))
 
 
-def _check_collapse(svals, ranks) -> None:
-    """Refuse a mode that is empty or whose singular value at position r_n is at or below 1e-12."""
-    for mode, (r, s) in enumerate(zip(ranks, svals)):
-        if r == 0 or s[r - 1] <= SINGULARITY_TOL:
-            raise RankDeficiencyError(f"mode-{mode} singular value at position {r} is below 1e-12")
+def _check_collapse(svals, ranks, ref=None) -> None:
+    """Refuse a mode that is empty or whose singular value at position r_n is at or
+    below 1e-12 times the mode's largest in `ref` (default `svals`), or 1e-150."""
+    for mode, (r, s, top) in enumerate(zip(ranks, svals, svals if ref is None else ref)):
+        if r == 0 or s[r - 1] <= max(SINGULARITY_TOL * top[0], _TINY):
+            raise RankDeficiencyError(f"mode-{mode} singular value at position {r} is at or "
+                                      "below 1e-12 times the mode's largest")
 
 
 def tucker_from_tensor(x, ranks) -> TuckerPoint:
@@ -165,7 +168,7 @@ def riemannian_grad_tucker(h: HosvdFactorization, euclid_grad):
     `euclid_grad` has the point's shape, or a leading axis stacking several
     gradients; then the result is a tuple of tangents, one per slice, from
     one pass of contractions.  Raises RankDeficiencyError when a mode's
-    last singular value s_n[r_n - 1] is at or below 1e-12.
+    last singular value s_n[r_n - 1] is at or below 1e-12 s_n[0] or 1e-150.
     """
     us = h.factors
     g = h.core
@@ -245,8 +248,9 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
     :func:`riemannian_grad_tucker` returns it.
 
     Raises RankDeficiencyError when the moved tensor no longer supports the
-    manifold's ranks (singular value at position r_n at or below 1e-12), and
-    FloatingPointError when the step overflowed (a non-finite block core).
+    manifold's ranks (singular value at position r_n at or below 1e-12 times
+    h's largest in that mode, or 1e-150), and FloatingPointError when the step
+    overflowed (a non-finite block core).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -264,7 +268,7 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
         raise FloatingPointError("non-finite step: the block core holds inf or nan")
     # The ranks of `h` fit the block core, whose dimensions are 2 r_n.
     core, ws, svals = _hosvd_kernel(c, ranks)
-    _check_collapse(svals, ranks)
+    _check_collapse(svals, ranks, h.svals)  # relative to h: a step onto rounding noise collapses
     # Q_n W_n has orthonormal columns, one per core index: no re-check.
     return _trusted(
         TuckerPoint,

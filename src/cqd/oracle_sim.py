@@ -4,18 +4,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .query_codec import DecodedQuery, decode
-from .tensor_core import as_tensor3
+from .tensor_core import _STACK_BYTES, as_tensor3
 
 AGGREGATORS = ("mean", "median")
-
-# Bytes of draws an ensemble mean holds at once; a larger payload goes one draw a block.
-_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -78,15 +74,10 @@ class SimulatedOracle:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._per_block = max(1, _BLOCK_BYTES // self.target.nbytes)  # draws per block of a mean
+        self._per_block = max(1, _STACK_BYTES // self.target.nbytes)  # draws per block of a mean
         # The last query and its decoding: calls that repeat one query's bytes (a noise
         # study's single draws, an ensemble experiment's trials) decode and CRC-check it once.
         self._last: tuple[bytes, DecodedQuery] | None = None
-
-    @cached_property
-    def _block(self) -> np.ndarray:
-        # The block buffer, made at the first ensemble and reused by every later one.
-        return np.empty((self._per_block, *self.target.shape))
 
     def infer(self, query: bytes, draw_index: int, m: int = 1, agg: str = "mean") -> OracleResponse:
         """Draws draw_index, ..., draw_index + m - 1 of `query`, aggregated by `agg`.
@@ -120,7 +111,7 @@ class SimulatedOracle:
                 payload += self.target
                 return OracleResponse(payload=payload, draws_used=1)
             n = m if agg == "median" else min(m, self._per_block)  # draws per block
-            block = self._block if n <= self._per_block else np.empty((n, *self.target.shape))
+            block = np.empty((n, *self.target.shape))
             total = None
             for start in range(draw_index, draw_index + m, n):
                 rows = block[: min(n, draw_index + m - start)]

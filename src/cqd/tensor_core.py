@@ -11,7 +11,7 @@ MODES = (0, 1, 2)
 
 ORTHO_TOL = 1e-10
 
-# Largest stack one LAPACK call takes: a larger one (48^3 unfoldings) would raise peak memory.
+# Largest LAPACK stack and ensemble block of draws: more (48^3 unfoldings) would raise peak memory.
 _STACK_BYTES = 128 * 1024
 
 # Axis order that brings each mode first, the others in their original order.
@@ -133,23 +133,15 @@ def _trusted(cls, **fields):
 
 
 def _per_shape(fn, arrays) -> list:
-    """[fn(a) for a in arrays], from one call of fn per shape on the stack of
-    the arrays of that shape, if the stack fits in 128 KiB.  fn maps a stack
+    """[fn(a) for a in arrays], from one call of fn on the stack of the arrays
+    if they share one shape and the stack fits in 128 KiB.  fn maps a stack
     slice by slice (numpy's svd and qr do), so each result has the bits of
     a call on its array alone."""
-    groups: dict[tuple, list[int]] = {}
-    for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
-    out = [None] * len(arrays)
-    for same in groups.values():
-        if len(same) == 1 or len(same) * arrays[same[0]].nbytes > _STACK_BYTES:
-            for i in same:
-                out[i] = fn(arrays[i])
-        else:
-            res = fn(np.array([arrays[i] for i in same]))  # np.stack, without its checks
-            for i, part in zip(same, zip(*res) if isinstance(res, tuple) else res):
-                out[i] = part
-    return out
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays) or len(arrays) * arrays[0].nbytes > _STACK_BYTES:
+        return [fn(a) for a in arrays]
+    res = fn(np.array(arrays))  # np.stack, without its checks
+    return list(zip(*res) if isinstance(res, tuple) else res)
 
 
 def _signs(u: np.ndarray) -> np.ndarray:

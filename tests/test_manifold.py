@@ -302,11 +302,18 @@ def _recorded(fn, shapes, per_matrix=False):
 
 @pytest.mark.parametrize(
     "shape, ranks, calls",
-    [((6, 6, 6), (2, 2, 2), 1), ((8, 7, 6), (3, 2, 2), 3), ((48, 48, 48), (2, 2, 2), 3)],
+    [
+        ((6, 6, 6), (2, 2, 2), 1),
+        ((8, 7, 6), (3, 2, 2), 3),
+        ((48, 48, 48), (2, 2, 2), 3),
+        ((6, 6, 5), (2, 2, 2), 3),
+    ],
 )
 def test_stacked_svd_and_qr_give_the_bits_of_one_call_per_mode(monkeypatch, shape, ranks, calls):
-    # Equal-shape matrices share one LAPACK call, up to a 128 KiB stack: the
-    # 48^3 unfoldings (864 KiB each) go one per call.
+    # The three modes share one LAPACK call when all their matrices have one
+    # shape, up to a 128 KiB stack; otherwise each goes in a call of its own:
+    # at 6x6x5 two unfoldings share a shape, and the 48^3 unfoldings (864 KiB
+    # each) exceed the stack.
     rng = np.random.default_rng(30)
     x = rng.standard_normal(shape)
     h = point_hosvd(tucker_from_tensor(x, ranks))

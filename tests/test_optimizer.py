@@ -269,6 +269,41 @@ def test_run_cqd_takes_one_hosvd_per_iteration(monkeypatch):
     assert calls == [x0.ranks] * len(trace) == [(2, 2, 2)] * 25
 
 
+def scaled_run(shape, ranks, seed, k, iters):
+    """A sigma = 0, constant-step run whose instance and target are gen_synthetic's times 2^k."""
+    instance, target = gen_synthetic(shape, ranks, 0.1, seed)
+    x0 = tucker_from_tensor(instance * 2.0**k, ranks)
+    task = TaskSpec(target=target * 2.0**k, tau=27, task_id=seed)
+    return run_cqd(x0, task, OracleConfig(0.0, seed), StepSchedule("constant", 0.1), 0.1, iters)
+
+
+def assert_scale_covariant(shape, ranks, seed, k, iters):
+    """The run at 2^k is the run at 1 scaled: losses and gradient norms by 4^k,
+    the final core by 2^k, every other output equal, all compared with ==."""
+    final0, trace0 = scaled_run(shape, ranks, seed, 0, iters)
+    final, trace = scaled_run(shape, ranks, seed, k, iters)
+    assert trace.error == trace0.error
+    assert len(trace) == len(trace0)
+    for name in ("loss", "grad_norm_sq"):
+        assert np.all(trace.column(name) == trace0.column(name) * 4.0**k)
+    for name in ("ranks", "budget", "eta", "eps"):
+        assert np.all(trace.column(name) == trace0.column(name))
+    assert np.all(final.core == final0.core * 2.0**k)
+    assert all(np.all(f.u == f0.u) for f, f0 in zip(final.factors, final0.factors))
+    return trace0
+
+
+@pytest.mark.parametrize("k", [-450, -200, -60, -40, 20, 400])
+@pytest.mark.parametrize("shape", [(6, 6, 6), (7, 6, 5)])
+def test_a_noise_free_run_scales_bit_exactly_by_a_power_of_two(shape, k):
+    # Every decision of the loop is relative to the iterate's own scale, so
+    # a power-of-two scaling, exact while nothing leaves the normal range,
+    # passes through it bit for bit.  An absolute collapse tolerance refused
+    # every start point from 2^-40 down.
+    trace0 = assert_scale_covariant(shape, (2, 2, 2), 0, k, 200)
+    assert trace0.error is None and len(trace0) == 200
+
+
 def test_rank_collapse_of_the_start_point_is_a_typed_trace_error():
     # A zero core slice leaves the mode-0 unfolding one row short: the
     # projection's 1/s^2 scaling would divide by zero.
@@ -280,7 +315,8 @@ def test_rank_collapse_of_the_start_point_is_a_typed_trace_error():
         warnings.simplefilter("error")
         final, trace = run_cqd(start, task, OracleConfig(0.1, 20), RM, 0.1, 10)
     assert trace.error == (
-        "project at k=0: rank_deficiency: mode-0 singular value at position 2 is below 1e-12"
+        "project at k=0: rank_deficiency: mode-0 singular value at position 2 is at or below "
+        "1e-12 times the mode's largest"
     )
     assert len(trace) == 0
     assert final is start

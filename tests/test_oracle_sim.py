@@ -288,7 +288,7 @@ def test_streamed_ensemble_mean_matches_numpy_bitwise(shape, m, agg):
     oracle = SimulatedOracle(OracleConfig(0.7, 43), target)
     stacked = np.stack([oracle.infer(query, 9 + i).payload for i in range(m)])
     expected = (np.median if agg == "median" else np.mean)(stacked, axis=0)
-    for _ in range(2):  # the second call reuses the oracle's block
+    for _ in range(2):  # a second call gives the same bits
         resp = ensemble_infer(oracle, query, m, agg, draw_start=9)
         assert resp.payload.tobytes() == expected.tobytes()
         assert resp.draws_used == m
@@ -307,7 +307,6 @@ def test_an_ensemble_payload_views_no_buffer_larger_than_itself(shape, agg):
         payload = ensemble_infer(oracle, query, m, agg).payload
         assert payload.shape == shape
         assert payload.base is None or payload.base.nbytes <= payload.nbytes
-        assert not np.shares_memory(payload, oracle._block)
 
 
 def test_an_ensemble_mean_keeps_a_signed_zero():

@@ -31,7 +31,7 @@ from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import mask_factorization
 from tests.test_factored import SETTINGS, random_point, tucker_cases
 from tests.test_manifold import negated, point_hosvd, random_tangent
-from tests.test_optimizer import oracle_overflow_problem
+from tests.test_optimizer import assert_scale_covariant, oracle_overflow_problem
 from tests.test_spectral_masking import superdiagonal
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -143,6 +143,13 @@ def test_tucker_retraction_axioms(case):
     minus = tucker_to_tensor(tucker_retract(h, negated(t), H))
     tol = 1e-6 * max(scale, np.max(np.abs(emb)))
     assert np.max(np.abs((plus - minus) / (2 * H) - emb)) <= tol
+
+
+@SETTINGS
+@given(case=tucker_cases(max_dim=5), k=st.integers(-400, 400))
+def test_a_noise_free_run_scales_bit_exactly_by_any_power_of_two(case, k):
+    shape, ranks, seed = case
+    assert_scale_covariant(shape, ranks, seed, k, 30)
 
 
 @st.composite
