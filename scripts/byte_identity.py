@@ -9,10 +9,9 @@ listings:
 
 Each line is the first 16 hex digits of a sha256 and the output's name:
 - the trace rows, ``trace.error``, start and final point of ``run_cqd`` for the
-  four loopbench workload configurations, instance seeds 0-2 (``ensemble6-m64``
-  with the mean and with the median);
-- ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, mean and median, seeds 0-1,
-  10 iterations, a shape whose draws the oracle makes one per block;
+  four loopbench workload configurations, instance seeds 0-2;
+- ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, seeds 0-1, 10 iterations, a
+  shape whose draws the oracle makes one per block;
 - ``ensemble40-m3``: the same at 40^3, a target large enough that ``run_cqd``
   makes the oracle's draws on its worker thread;
 - the 6^3, sigma=0, constant eta=3, 2000-iteration diverging run;
@@ -45,7 +44,7 @@ WORKLOADS = {
 EXPERIMENTS = ("projopt", "tailbound", "converge", "ratedist", "ensemble")
 
 
-def run_args(cqd, workload: tuple, seed: int, agg: str = "mean") -> tuple:
+def run_args(cqd, workload: tuple, seed: int) -> tuple:
     """run_cqd's arguments for a WORKLOADS row and instance seed, as loopbench
     builds them: noise floor and sigma 0.1, Robbins-Monro (0.5, 100), eps0 0.1."""
     shape, ranks, tau, m, iters = workload
@@ -53,7 +52,7 @@ def run_args(cqd, workload: tuple, seed: int, agg: str = "mean") -> tuple:
     return (cqd.tucker_from_tensor(instance, ranks),
             cqd.TaskSpec(target=target, tau=tau, task_id=seed),
             cqd.OracleConfig(0.1, seed), cqd.StepSchedule("robbins_monro", 0.5, 100.0),
-            0.1, iters, m, agg)
+            0.1, iters, m)
 
 
 def digest(name: str, *parts) -> None:
@@ -93,20 +92,18 @@ def main() -> None:
         raise SystemExit(f"cqd imported from {cqd.__file__}, not from {src}")
 
     for name, workload in WORKLOADS.items():
-        for agg in ("mean", "median") if workload[3] > 1 else ("mean",):
-            for seed in range(3):
-                x0, *rest = run_args(cqd, workload, seed, agg)
-                final, trace = cqd.run_cqd(x0, *rest)
-                digest(f"{name}/{agg}/seed{seed}", trace.rows, trace.error,
-                       *point_bytes(x0), *point_bytes(final))
+        for seed in range(3):
+            x0, *rest = run_args(cqd, workload, seed)
+            final, trace = cqd.run_cqd(x0, *rest)
+            digest(f"{name}/mean/seed{seed}", trace.rows, trace.error,
+                   *point_bytes(x0), *point_bytes(final))
 
     for n in (24, 40):
         ensemble = ((n, n, n), (2, 2, 2), 27, 3, 10)
-        for agg in ("mean", "median"):
-            for seed in range(2):
-                final, trace = cqd.run_cqd(*run_args(cqd, ensemble, seed, agg))
-                digest(f"ensemble{n}-m3/{agg}/seed{seed}", trace.rows, trace.error,
-                       *point_bytes(final))
+        for seed in range(2):
+            final, trace = cqd.run_cqd(*run_args(cqd, ensemble, seed))
+            digest(f"ensemble{n}-m3/mean/seed{seed}", trace.rows, trace.error,
+                   *point_bytes(final))
 
     instance, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
     final, trace = cqd.run_cqd(

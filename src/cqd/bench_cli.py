@@ -328,7 +328,7 @@ def exp_ensemble_variance(cfg: EnsembleConfig) -> Report:
         for m in cfg.m_values:
             sq = np.empty(cfg.trials)
             for t in range(cfg.trials):
-                resp = ensemble_infer(oracle, query, int(m), "mean", draw_start=t * int(m))
+                resp = ensemble_infer(oracle, query, int(m), draw_start=t * int(m))
                 sq[t] = np.sum((resp.payload - target) ** 2)
             variance = float(np.mean(sq))
             expected = cfg.sigma**2 / m

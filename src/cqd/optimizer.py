@@ -20,7 +20,7 @@ from .manifold import (
     tucker_retract,
     tucker_to_tensor,
 )
-from .oracle_sim import AGGREGATORS, OracleConfig, SimulatedOracle, ensemble_infer
+from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
 from .query_codec import _MAX_U32, encode
 from .spectral_masking import adapt_epsilon, budget, compress_within_budget
 from .tensor_core import Ranks3, as_tensor3, hosvd
@@ -181,7 +181,7 @@ def run_cqd(
     """Run the four-step outer loop: compress, encode, delegate, retract.
 
     Per iteration: adaptive spectral masking of the current iterate under
-    the budget cap tau, wire encoding, m oracle draws aggregated by `agg`,
+    the budget cap tau, wire encoding, the mean of m oracle draws (agg="mean"),
     then a retraction step along the tangent-projected stochastic gradient.
     Returns the final point and the full per-iteration trace; a run that
     stops early returns the point it entered its last iteration with (or
@@ -199,8 +199,9 @@ def run_cqd(
     serves both residuals. From that size a worker thread makes them while the
     calling thread densifies, takes the loss and projects the true residual
     alone; both give the same bits and trace, and stop at the same stage with
-    the same exception type. The hook runs on the calling thread; it and the
-    draws see the caller's floating-point error state.
+    the same exception type, though if both projections fail the worker path
+    names the true residual's error. The hook runs on the calling thread; it
+    and the draws see the caller's floating-point error state.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -208,8 +209,8 @@ def run_cqd(
         raise ValueError("m must be at least 1")
     if not 0 < eps0 < 1:
         raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
-    if agg not in AGGREGATORS:
-        raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
+    if agg != "mean":
+        raise ValueError(f"unknown aggregator {agg!r}, expected 'mean'")
     if x0.shape != task.target.shape:
         raise ValueError(f"x0 shape {x0.shape} does not match target shape {task.target.shape}")
     oracle = SimulatedOracle(oracle_cfg, task.target)
@@ -233,10 +234,10 @@ def run_cqd(
                     r1, r2, r3 = ranks
                     query = encode(h.core[:r1, :r2, :r3], task.task_id, oracle_cfg.seed, eps)
                     if pool is None:
-                        response = ensemble_infer(oracle, query, m, agg, draw_start=k * m)
+                        response = ensemble_infer(oracle, query, m, draw_start=k * m)
                     else:  # under the caller's floating-point error state, as inline
                         infer = np.errstate(call=np.geterrcall(), **np.geterr())(ensemble_infer)
-                        draw = pool.submit(infer, oracle, query, m, agg, k * m)
+                        draw = pool.submit(infer, oracle, query, m, k * m)
                 except Exception as exc:
                     held = stage, exc
                 stage = "densify"
@@ -265,19 +266,15 @@ def run_cqd(
                         true_grad, step_dir = riemannian_grad_tucker(h, residuals)
                         grad_norm_sq = tangent_norm_sq(h, true_grad)
                     else:
-                        try:  # raised after the oracle's error, as by the stacked pass
+                        try:
                             true_grad = riemannian_grad_tucker(h, residuals[0])
                             grad_norm_sq = tangent_norm_sq(h, true_grad)
-                        except Exception as exc:
-                            held = stage, exc
-                        stage = "oracle"
-                        response = draw.result()
-                        stage = "project"
+                        finally:  # the oracle's error replaces the projection's, as inline
+                            stage = "oracle"
+                            response = draw.result()
+                            stage = "project"
                         np.subtract(response.payload, ambient, out=residuals[1])
                         step_dir = riemannian_grad_tucker(h, residuals[1])
-                        if held is not None:
-                            stage, exc = held
-                            raise exc
                     trace.rows.append(loss, grad_norm_sq, ranks, achieved, eta, eps)
                 if iterate_hook is not None:
                     iterate_hook(k, ambient)

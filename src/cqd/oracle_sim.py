@@ -11,8 +11,6 @@ import numpy as np
 from .query_codec import DecodedQuery, decode
 from .tensor_core import _STACK_BYTES, as_tensor3
 
-AGGREGATORS = ("mean", "median")
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -79,21 +77,19 @@ class SimulatedOracle:
         # study's single draws, an ensemble experiment's trials) decode and CRC-check it once.
         self._last: tuple[bytes, DecodedQuery] | None = None
 
-    def infer(self, query: bytes, draw_index: int, m: int = 1, agg: str = "mean") -> OracleResponse:
-        """Draws draw_index, ..., draw_index + m - 1 of `query`, aggregated by `agg`.
+    def infer(self, query: bytes, draw_index: int, m: int = 1) -> OracleResponse:
+        """The mean of draws draw_index, ..., draw_index + m - 1 of `query`.
 
         Each draw has the bits of its own m = 1 call.  The mean sums the draws
         in order, as np.mean of their stack does along axis 0, holding at most
-        max(one payload, 128 KiB) of them at once; the median stacks all m.
-        The payload is a fresh array of the target's shape; an answer that
-        overflows float64 raises FloatingPointError.
+        max(one payload, 128 KiB) of them at once, whatever m is.  The payload
+        is a fresh array of the target's shape; one that overflows float64
+        raises FloatingPointError.
         """
         if draw_index < 0:
             raise ValueError("draw_index must be nonnegative")
         if m < 1:
             raise ValueError("ensemble size m must be at least 1")
-        if agg not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {agg!r}, expected one of {AGGREGATORS}")
         last = self._last
         if last is not None and last[0] == query:
             dq = last[1]
@@ -110,7 +106,7 @@ class SimulatedOracle:
                 payload *= self._scale
                 payload += self.target
                 return OracleResponse(payload=payload, draws_used=1)
-            n = m if agg == "median" else min(m, self._per_block)  # draws per block
+            n = min(m, self._per_block)  # draws per block
             block = np.empty((n, *self.target.shape))
             total = None
             for start in range(draw_index, draw_index + m, n):
@@ -121,8 +117,6 @@ class SimulatedOracle:
                     self._gen.standard_normal(out=rows[i])
                 rows *= self._scale
                 rows += self.target
-                if agg == "median":
-                    return OracleResponse(payload=np.median(rows, axis=0), draws_used=m)
                 # Summed from -0.0, which adds exactly (numpy's reduce starts at +0.0);
                 # total + d is d + total, bit for bit, so the sum goes on in draw order.
                 if total is not None:
@@ -132,16 +126,13 @@ class SimulatedOracle:
         return OracleResponse(payload=total, draws_used=m)
 
 
-def aggregate(payloads: Iterable[np.ndarray], method: str = "mean") -> np.ndarray:
-    """Elementwise mean or median of same-shape payloads in a fresh float64 array."""
-    if method not in AGGREGATORS:
-        raise ValueError(f"unknown aggregator {method!r}, expected one of {AGGREGATORS}")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in payloads])
-    return np.median(stacked, axis=0) if method == "median" else np.mean(stacked, axis=0)
+def aggregate(payloads: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise mean of same-shape payloads in a fresh float64 array."""
+    return np.mean(np.stack([np.asarray(p, dtype=np.float64) for p in payloads]), axis=0)
 
 
 def ensemble_infer(
-    oracle: SimulatedOracle, query: bytes, m: int, agg: str = "mean", draw_start: int = 0
+    oracle: SimulatedOracle, query: bytes, m: int, draw_start: int = 0
 ) -> OracleResponse:
-    """Draws draw_start, ..., draw_start + m - 1 of one query, aggregated by `agg`."""
-    return oracle.infer(query, draw_start, m=m, agg=agg)
+    """The mean of draws draw_start, ..., draw_start + m - 1 of one query."""
+    return oracle.infer(query, draw_start, m=m)

@@ -424,6 +424,7 @@ def test_task_spec_task_id_must_fit_the_query_header():
         ({"iters": 0}, "iters"),
         ({"m": 0}, "m must"),
         ({"agg": "mode"}, "aggregator"),
+        ({"agg": "median"}, "aggregator"),
         # Used to escape the loop at k=0 as numpy's broadcast error.
         ({"target_shape": (5, 6, 6)}, "x0 shape"),
         # Used to escape the loop from the mask stage at k=0, with no trace.
@@ -431,7 +432,7 @@ def test_task_spec_task_id_must_fit_the_query_header():
         ({"eps0": 1.0}, "eps0"),
         ({"eps0": float("nan")}, "eps0"),
     ],
-    ids=["iters", "m", "agg", "x0-shape", "eps0-0", "eps0-1", "eps0-nan"],
+    ids=["iters", "m", "agg", "agg-median", "x0-shape", "eps0-0", "eps0-1", "eps0-nan"],
 )
 def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, match):
     import cqd.optimizer as optimizer
@@ -504,8 +505,8 @@ def run_bytes(point, trace):
     return [trace.column(name).tobytes() for name in columns], trace.error, point_bytes(point)
 
 
-@pytest.mark.parametrize("m, agg", [(1, "mean"), (3, "mean"), (3, "median")])
-def test_the_worker_path_gives_the_bits_of_the_inline_path(monkeypatch, m, agg):
+@pytest.mark.parametrize("m", [1, 3], ids=["1-mean", "3-mean"])
+def test_the_worker_path_gives_the_bits_of_the_inline_path(monkeypatch, m):
     x0, task = setup_problem(3, shape=BIG)
     here, threads = threading.current_thread(), []
 
@@ -514,7 +515,7 @@ def test_the_worker_path_gives_the_bits_of_the_inline_path(monkeypatch, m, agg):
         return ensemble_infer(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "ensemble_infer", recording)
-    args = (x0, task, OracleConfig(0.1, 3), RM, 0.1, 8, m, agg)
+    args = (x0, task, OracleConfig(0.1, 3), RM, 0.1, 8, m)
     worker = run_bytes(*run_cqd(*args))
     assert worker[1] is None and len(threads) == 8 and here not in threads
     make_inline(monkeypatch)
@@ -577,6 +578,26 @@ def test_a_failing_oracle_stops_the_run_before_a_failing_projection(monkeypatch,
     assert len(trace) == 1 and point_bytes(final) == point_bytes(x1)
 
 
+def test_the_worker_path_names_the_true_residuals_projection_error(monkeypatch):
+    # It projects the true residual first, and stops there.
+    x0, task = setup_problem(5, shape=BIG)
+    args = (task, OracleConfig(0.1, 5), RM, 0.1)
+    x1, _ = run_cqd(x0, *args, 1)
+    hosvds = []
+    monkeypatch.setattr(optimizer, "hosvd", lambda *a: hosvds.append(1) or hosvd(*a))
+    errors = iter([RankDeficiencyError("first"), RankDeficiencyError("second")])
+
+    def projection(h, z):
+        if len(hosvds) > 1:
+            raise next(errors)
+        return riemannian_grad_tucker(h, z)
+
+    monkeypatch.setattr(optimizer, "riemannian_grad_tucker", projection)
+    final, trace = run_cqd(x0, *args, 5)
+    assert trace.error == "project at k=1: rank_deficiency: first"
+    assert len(trace) == 1 and point_bytes(final) == point_bytes(x1)
+
+
 def test_a_run_leaves_no_thread_running(monkeypatch):
     x0, task = setup_problem(6, shape=BIG)
     args = (x0, task, OracleConfig(0.1, 6), RM, 0.1, 3)
@@ -617,14 +638,6 @@ def test_the_draw_runs_under_the_callers_floating_point_error_state(monkeypatch)
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
-
-
-def test_ensemble_m1_bit_identical_to_run_cqd():
-    # One draw is its own aggregate, whichever the method.
-    x0, task = setup_problem(13)
-    _, t1 = run_cqd(x0, task, OracleConfig(0.3, 13), RM, 0.1, 100)
-    _, t2 = run_cqd(x0, task, OracleConfig(0.3, 13), RM, 0.1, 100, m=1, agg="median")
-    assert t1.rows == t2.rows
 
 
 def test_ensemble_zero_noise_independent_of_m():

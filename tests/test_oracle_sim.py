@@ -179,9 +179,8 @@ def test_config_rejects_non_finite_sigma(sigma):
 
 def test_aggregate_single_and_symmetry():
     x = np.arange(6.0).reshape(1, 2, 3)
-    assert np.array_equal(aggregate([x], "mean"), x)
-    assert np.array_equal(aggregate([x], "median"), x)
-    assert np.all(aggregate([x, -x], "mean") == 0.0)
+    assert np.array_equal(aggregate([x]), x)
+    assert np.all(aggregate([x, -x]) == 0.0)
 
 
 @pytest.mark.parametrize("shape", [(6, 6, 6), (4, 5, 6)])
@@ -190,7 +189,7 @@ def test_aggregate_mean_matches_numpy_bitwise(shape, m):
     rng = np.random.default_rng(m)
     payloads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8) for _ in range(m)]
     copies = [p.copy() for p in payloads]
-    got = aggregate(payloads, "mean")
+    got = aggregate(payloads)
     assert got.dtype == np.float64
     assert got.tobytes() == np.mean(np.stack(copies), axis=0).tobytes()
     for p, c in zip(payloads, copies):
@@ -198,18 +197,11 @@ def test_aggregate_mean_matches_numpy_bitwise(shape, m):
     assert not any(np.shares_memory(got, p) for p in payloads)
 
 
-def test_aggregate_median():
-    vals = [np.full((2, 2), v) for v in (1.0, 2.0, 100.0)]
-    assert np.all(aggregate(vals, "median") == 2.0)
-
-
 def test_aggregate_errors():
     with pytest.raises(ValueError):
-        aggregate([], "mean")
+        aggregate([])
     with pytest.raises(ValueError):
-        aggregate([np.zeros((2, 2)), np.zeros((3, 2))], "mean")
-    with pytest.raises(ValueError):
-        aggregate([np.zeros((2, 2))], "mode")
+        aggregate([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
 def test_ensemble_m1_identical_to_single_call():
@@ -218,7 +210,7 @@ def test_ensemble_m1_identical_to_single_call():
     query = make_query(rng)
     oracle = SimulatedOracle(OracleConfig(0.5, 13), target)
     single = oracle.infer(query, 5)
-    ens = ensemble_infer(oracle, query, 1, "mean", draw_start=5)
+    ens = ensemble_infer(oracle, query, 1, draw_start=5)
     assert ens.payload.tobytes() == single.payload.tobytes()
     assert ens.draws_used == 1
 
@@ -230,10 +222,9 @@ def test_ensemble_zero_noise_any_m():
     oracle = SimulatedOracle(OracleConfig(0.0, 13), target)
     # One draw path at any sigma: at sigma = 0 it must give the target's bytes.
     for m in (1, 2, 4):
-        resp = ensemble_infer(oracle, query, m, "mean")
+        resp = ensemble_infer(oracle, query, m)
         assert resp.payload.tobytes() == target.tobytes()
         assert resp.draws_used == m
-    assert ensemble_infer(oracle, query, 3, "median").payload.tobytes() == target.tobytes()
 
 
 def test_ensemble_variance_reduction_m25():
@@ -245,7 +236,7 @@ def test_ensemble_variance_reduction_m25():
     m, trials = 25, 2000
     sq = np.empty(trials)
     for t in range(trials):
-        resp = ensemble_infer(oracle, query, m, "mean", draw_start=t * m)
+        resp = ensemble_infer(oracle, query, m, draw_start=t * m)
         sq[t] = np.sum((resp.payload - target) ** 2)
     variance = float(np.mean(sq))
     expected = sigma**2 / m
@@ -260,7 +251,7 @@ def test_ensemble_mean_holds_about_two_payloads():
     oracle.infer(query, 0)  # decode outside the measurement
     tracemalloc.start()
     try:
-        resp = ensemble_infer(oracle, query, 32, "mean")
+        resp = ensemble_infer(oracle, query, 32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,34 +260,31 @@ def test_ensemble_mean_holds_about_two_payloads():
 
 
 @pytest.mark.parametrize(
-    "shape, m, agg",
+    "shape, m",
     [
-        pytest.param((4, 5, 6), 2, "mean", id="2"),
-        pytest.param((4, 5, 6), 64, "mean", id="64"),
+        pytest.param((4, 5, 6), 2, id="2"),
+        pytest.param((4, 5, 6), 64, id="64"),
         # 12^3: nine draws a block, so m = 64 takes eight blocks.
-        pytest.param((12, 12, 12), 64, "mean", id="12cube-64"),
+        pytest.param((12, 12, 12), 64, id="12cube-64"),
         # 24^3: a payload above the block cap, so one draw a block.
-        pytest.param((24, 24, 24), 3, "mean", id="24cube-3"),
-        pytest.param((4, 5, 6), 64, "median", id="median-64"),
-        pytest.param((24, 24, 24), 3, "median", id="median-24cube-3"),
+        pytest.param((24, 24, 24), 3, id="24cube-3"),
     ],
 )
-def test_streamed_ensemble_mean_matches_numpy_bitwise(shape, m, agg):
+def test_streamed_ensemble_mean_matches_numpy_bitwise(shape, m):
     rng = np.random.default_rng(43)
     target = rng.standard_normal(shape)
     query = make_query(rng)
     oracle = SimulatedOracle(OracleConfig(0.7, 43), target)
     stacked = np.stack([oracle.infer(query, 9 + i).payload for i in range(m)])
-    expected = (np.median if agg == "median" else np.mean)(stacked, axis=0)
+    expected = np.mean(stacked, axis=0)
     for _ in range(2):  # a second call gives the same bits
-        resp = ensemble_infer(oracle, query, m, agg, draw_start=9)
+        resp = ensemble_infer(oracle, query, m, draw_start=9)
         assert resp.payload.tobytes() == expected.tobytes()
         assert resp.draws_used == m
 
 
-@pytest.mark.parametrize("agg", ["mean", "median"])
-@pytest.mark.parametrize("shape", [(6, 6, 6), (24, 24, 24)])
-def test_an_ensemble_payload_views_no_buffer_larger_than_itself(shape, agg):
+@pytest.mark.parametrize("shape", [(6, 6, 6), (24, 24, 24)], ids=["shape0-mean", "shape1-mean"])
+def test_an_ensemble_payload_views_no_buffer_larger_than_itself(shape):
     # A caller may keep every payload: a view into a block of draws would pin
     # the whole block.
     rng = np.random.default_rng(44)
@@ -304,7 +292,7 @@ def test_an_ensemble_payload_views_no_buffer_larger_than_itself(shape, agg):
     query = make_query(rng)
     oracle = SimulatedOracle(OracleConfig(0.2, 44), target)
     for m in (1, 2, 64):
-        payload = ensemble_infer(oracle, query, m, agg).payload
+        payload = ensemble_infer(oracle, query, m).payload
         assert payload.shape == shape
         assert payload.base is None or payload.base.nbytes <= payload.nbytes
 
@@ -318,17 +306,16 @@ def test_an_ensemble_mean_keeps_a_signed_zero():
     oracle = SimulatedOracle(OracleConfig(0.0, 45), np.full((4, 5, 6), -0.0))
     d0, d1, d2 = (oracle.infer(query, i).payload for i in range(3))
     expected = (d0 + d1 + d2) / 3
-    got = ensemble_infer(oracle, query, 3, "mean").payload
+    got = ensemble_infer(oracle, query, 3).payload
     assert got.tobytes() == expected.tobytes()
     assert np.any(np.signbit(got))
 
 
 def test_aggregate_consumes_an_iterator():
     payloads = [np.full((2, 3), v) for v in (1.0, 2.0, 6.0)]
-    assert np.array_equal(aggregate(iter(payloads), "mean"), np.full((2, 3), 3.0))
-    assert np.array_equal(aggregate(iter(payloads), "median"), np.full((2, 3), 2.0))
+    assert np.array_equal(aggregate(iter(payloads)), np.full((2, 3), 3.0))
     with pytest.raises(ValueError):
-        aggregate(iter([]), "mean")
+        aggregate(iter([]))
 
 
 def test_ensemble_rejects_bad_m():
@@ -357,7 +344,7 @@ def test_ensemble_decodes_each_query_once(monkeypatch):
 
     monkeypatch.setattr(oracle_sim, "decode", counting_decode)
     oracle = SimulatedOracle(cfg, target)
-    resp = ensemble_infer(oracle, query, 8, "mean", draw_start=3)
+    resp = ensemble_infer(oracle, query, 8, draw_start=3)
     assert len(calls) == 1
     assert resp.payload.tobytes() == before.tobytes()
     assert resp.draws_used == 8

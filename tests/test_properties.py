@@ -26,7 +26,6 @@ from cqd.manifold import (
     tucker_to_tensor,
 )
 from cqd.optimizer import OracleConfig, StepSchedule, TaskSpec, run_cqd
-from cqd.oracle_sim import AGGREGATORS
 from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import mask_factorization
 from tests.test_factored import SETTINGS, random_point, tucker_cases
@@ -169,24 +168,23 @@ DENSE_EDGE = sys.float_info.max * np.array([[[0, 0.9], [0, 0.5]], [[0.9, 0], [0,
 
 
 @settings(SETTINGS, max_examples=200)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=1, m=1, agg="mean", tau=27)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1.0, eta0=0.1, seed=0, m=4, agg="mean", tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=0, m=1, tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=1, m=1, tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1.0, eta0=0.1, seed=0, m=4, tau=27)
 @example(problem=(DENSE_EDGE, DENSE_EDGE, (2, 2, 1)),
-         sigma=0.1, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
+         sigma=0.1, eta0=0.1, seed=0, m=1, tau=27)
 @example(problem=(np.full((2, 2, 2), 1e308), EDGE, (1, 1, 1)),
-         sigma=0.1, eta0=0.1, seed=0, m=1, agg="mean", tau=27)
+         sigma=0.1, eta0=0.1, seed=0, m=1, tau=27)
 @given(
     problem=tiny_problems(),
     sigma=EXTREME,
     eta0=EXTREME,
     seed=st.integers(0, 2**64 - 1),
     m=st.sampled_from([1, 4]),
-    agg=st.sampled_from(AGGREGATORS),
     tau=st.sampled_from([1, 8, math.inf]),
 )
 def test_every_input_is_refused_when_built_or_runs_to_a_trace(
-    problem, sigma, eta0, seed, m, agg, tau
+    problem, sigma, eta0, seed, m, tau
 ):
     # Under the suite's error::RuntimeWarning filter, so a numpy warning
     # inside the loop fails this test too.
@@ -198,7 +196,7 @@ def test_every_input_is_refused_when_built_or_runs_to_a_trace(
         schedule = StepSchedule("constant", eta0)
     except (ValueError, TypeError, RankDeficiencyError):
         return
-    final, trace = run_cqd(x0, task, cfg, schedule, 0.1, 5, m=m, agg=agg)
+    final, trace = run_cqd(x0, task, cfg, schedule, 0.1, 5, m=m)
     stages = "loss|densify|mask|oracle|project|retract"
     assert trace.error is None or re.fullmatch(rf"({stages}) at k=\d+: .+", trace.error)
     assert np.all(np.isfinite(final.core))
