@@ -11,12 +11,14 @@ table, instance seeds 0-2.
 
 A round is one ``run_cqd`` call per seed; rounds alternate between the
 trees, the first side swapping every round, after one untimed warm-up round
-each.  A round's time is the median gap between successive
-``iterate_hook`` stamps.  Per workload the script prints each side's median
-round time, the median of the per-round ratios new/old, and how many rounds
-the new tree won.  Both sides see the same host load within a round, so the
-ratio is steadier than two loopbench processes run one after the other;
-claims are still made with loopbench pairs.
+each.  A round's times are the median (p50) and the 90th percentile (p90,
+the percentile loopbench reports as dense48's ``iter_us_tail``) of the gaps
+between successive ``iterate_hook`` stamps.  Per workload the script prints,
+for p50 and then for p90, each side's median round time and the median of
+the per-round ratios new/old, and how many rounds the new tree won at p50.
+Both sides see the same host load within a round, so the ratio is steadier
+than two loopbench processes run one after the other; claims are still made
+with loopbench pairs.
 """
 from __future__ import annotations
 
@@ -59,14 +61,15 @@ def cases(cqd, workload: str) -> list[tuple]:
     return [run_args(cqd, WORKLOADS[workload], seed) for seed in SEEDS]
 
 
-def round_us(cqd, args_list) -> float:
-    """Median µs between iterate_hook stamps over one run_cqd call per case."""
+def round_us(cqd, args_list) -> tuple[float, float]:
+    """p50 and p90 µs between iterate_hook stamps over one run_cqd call per case."""
     gaps = []
     for args in args_list:
         stamps: list[int] = []
         cqd.run_cqd(*args, iterate_hook=lambda k, a, _s=stamps.append: _s(time.perf_counter_ns()))
         gaps.append(np.diff(np.array(stamps, dtype=np.int64)))
-    return float(np.median(np.concatenate(gaps))) / 1e3
+    p50, p90 = np.percentile(np.concatenate(gaps), (50, 90)) / 1e3
+    return float(p50), float(p90)
 
 
 def main() -> None:
@@ -82,8 +85,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"old": load(args.old, "cqd_old", Path(tmp)), "new": load(args.new, "cqd_new", Path(tmp))}
-        print(f"{'workload':<14} {'rounds':>6} {'old_p50_us':>11} {'new_p50_us':>11}"
-              f" {'new/old':>8} {'new_won':>8}", flush=True)
+        print(f"{'workload':<14} {'rounds':>6} {'old_p50_us':>11} {'new_p50_us':>11} {'new/old':>8}"
+              f" {'old_p90_us':>11} {'new_p90_us':>11} {'new/old':>8} {'new_won':>8}", flush=True)
         for workload in args.workload or list(WORKLOADS):
             inputs = {side: cases(cqd, workload) for side, cqd in sides.items()}
             for side, cqd in sides.items():  # warm-up
@@ -92,11 +95,13 @@ def main() -> None:
             for r in range(args.rounds):
                 for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
                     times[side].append(round_us(sides[side], inputs[side]))
-            ratios = [n / o for n, o in zip(times["new"], times["old"])]
-            won = sum(n < o for n, o in zip(times["new"], times["old"]))
-            print(f"{workload:<14} {args.rounds:>6} {statistics.median(times['old']):>11.1f}"
-                  f" {statistics.median(times['new']):>11.1f} {statistics.median(ratios):>8.3f}"
-                  f" {won:>5}/{args.rounds}", flush=True)
+            cells = []
+            for q in (0, 1):  # p50, then p90
+                old, new = ([t[q] for t in times[side]] for side in ("old", "new"))
+                ratio = statistics.median(n / o for n, o in zip(new, old))
+                cells.append(f" {statistics.median(old):>11.1f} {statistics.median(new):>11.1f} {ratio:>8.3f}")
+            won = sum(n[0] < o[0] for n, o in zip(times["new"], times["old"]))
+            print(f"{workload:<14} {args.rounds:>6}{''.join(cells)} {won:>5}/{args.rounds}", flush=True)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ Each line is the first 16 hex digits of a sha256 and the output's name:
   four loopbench workload configurations, instance seeds 0-2;
 - ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, seeds 0-1, 10 iterations, a
   shape whose draws the oracle makes one per block;
-- ``ensemble40-m3``: the same at 40^3, a target large enough that ``run_cqd``
-  makes the oracle's draws on its worker thread;
+- ``ensemble40-m3``: the same at 40^3, a 500 KiB target, near the dense
+  workload's scale;
 - the 6^3, sigma=0, constant eta=3, 2000-iteration diverging run;
 - ``hosvd`` on random, thin (5x1x2), rank-one and all-zero tensors, and on
   the core and factors of seeded Tucker points (listed as ``thin_hosvd``, the

@@ -5,8 +5,6 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
@@ -26,10 +24,6 @@ from .spectral_masking import adapt_epsilon, budget, compress_within_budget
 from .tensor_core import Ranks3, as_tensor3, hosvd
 
 SCHEDULE_KINDS = ("robbins_monro", "constant")
-
-# Bytes of target from which a worker thread makes a run's draws: 40^3 float64. In-process,
-# worker over inline p50 read 1.85 at 6^3, 1.10 at 36^3, 0.95 at 40^3 (BENCH_19.json).
-_WORKER_BYTES = 500 * 1024
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,8 @@ def run_cqd(
     Returns the final point and the full per-iteration trace; a run that
     stops early returns the point it entered its last iteration with (or
     the one before, if that iteration's loss was not finite) and sets
-    `trace.error`. Arguments are checked here, before any oracle call.
+    `trace.error`. Arguments are checked here, before the oracle is built;
+    an iters or m that is no integer raises TypeError.
 
     Each iteration takes one HOSVD of the iterate, from its core, and works
     at it: the mask reads its singular values, the query carries its core,
@@ -195,17 +190,13 @@ def run_cqd(
     gradient norm) and the stochastic residual (the step), and the
     retraction starts from it.
 
-    Below 500 KiB of target the draws are made inline and one projection pass
-    serves both residuals. From that size a worker thread makes them while the
-    calling thread densifies, takes the loss and projects the true residual
-    alone; both give the same bits and trace, and stop at the same stage with
-    the same exception type, though if both projections fail the worker path
-    names the true residual's error. The hook runs on the calling thread; it
-    and the draws see the caller's floating-point error state.
+    The stages run on the calling thread in the order their errors take
+    precedence: densify and loss, mask, oracle, project (one pass for both
+    residuals), retract. An iteration whose loss is not finite makes no draw.
     """
-    if iters < 1:
+    if operator.index(iters) < 1:
         raise ValueError("iters must be at least 1")
-    if m < 1:
+    if operator.index(m) < 1:
         raise ValueError("m must be at least 1")
     if not 0 < eps0 < 1:
         raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
@@ -215,77 +206,53 @@ def run_cqd(
         raise ValueError(f"x0 shape {x0.shape} does not match target shape {task.target.shape}")
     oracle = SimulatedOracle(oracle_cfg, task.target)
     trace = RunTrace()
-    # The true and the stochastic residual, written in place each iteration.
+    # Slot 0 holds the true residual; slot 1 its square for the loss, then the stochastic one.
     residuals = np.empty((2, *x0.shape))
     x = good = x0
     eps = eps0
-    with ThreadPoolExecutor(1) if task.target.nbytes >= _WORKER_BYTES else nullcontext() as pool:
-        for k in range(iters):
-            held = None
-            try:
-                # The mask, the query and the draw run first, so the worker draws during
-                # the diagnostics; what they raise waits for the loss check, as if later.
-                try:
-                    stage = "mask"
-                    h = hosvd(x.core, x.factors)
-                    ranks, eps = compress_within_budget(h, eps, task.tau)
-                    achieved = budget(ranks)
-                    stage = "oracle"
-                    r1, r2, r3 = ranks
-                    query = encode(h.core[:r1, :r2, :r3], task.task_id, oracle_cfg.seed, eps)
-                    if pool is None:
-                        response = ensemble_infer(oracle, query, m, draw_start=k * m)
-                    else:  # under the caller's floating-point error state, as inline
-                        infer = np.errstate(call=np.geterrcall(), **np.geterr())(ensemble_infer)
-                        draw = pool.submit(infer, oracle, query, m, k * m)
-                except Exception as exc:
-                    held = stage, exc
-                stage = "densify"
-                # Diagnostics use the true objective against the hidden target.
-                # An iterate near the float64 limit overflows here, in the
-                # densify or the loss; the finite check reports it. An overflow
-                # in the projection or the step leaves a non-finite block core,
-                # which tucker_retract refuses; the gradient norm may read inf.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ambient = tucker_to_tensor(x)
-                    residual = np.subtract(ambient, task.target, out=residuals[0])
-                    loss = 0.5 * float(np.add.reduce(residual * residual, axis=None))
-                    if not math.isfinite(loss):
-                        trace.error = f"loss at k={k}: non-finite loss {loss}"
-                        return good, trace
-                    good = x
-                    if held is not None:
-                        stage, exc = held
-                        raise exc
-                    eta = step_size(k, schedule)
-                    stage = "project"
-                    # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's
-                    # answer R is X - R; its negative is the step direction.
-                    if pool is None:
-                        np.subtract(response.payload, ambient, out=residuals[1])
-                        true_grad, step_dir = riemannian_grad_tucker(h, residuals)
-                        grad_norm_sq = tangent_norm_sq(h, true_grad)
-                    else:
-                        try:
-                            true_grad = riemannian_grad_tucker(h, residuals[0])
-                            grad_norm_sq = tangent_norm_sq(h, true_grad)
-                        finally:  # the oracle's error replaces the projection's, as inline
-                            stage = "oracle"
-                            response = draw.result()
-                            stage = "project"
-                        np.subtract(response.payload, ambient, out=residuals[1])
-                        step_dir = riemannian_grad_tucker(h, residuals[1])
-                    trace.rows.append(loss, grad_norm_sq, ranks, achieved, eta, eps)
-                if iterate_hook is not None:
-                    iterate_hook(k, ambient)
-                stage = "retract"
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = tucker_retract(h, step_dir, eta)
-            except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
-                kind = {RankDeficiencyError: "rank_deficiency: ", np.linalg.LinAlgError: "linalg: "}
-                trace.error = f"{stage} at k={k}: {kind.get(type(exc), '')}{exc}"
+    for k in range(iters):
+        stage = "densify"
+        try:
+            # Diagnostics use the true objective against the hidden target.
+            # An iterate near the float64 limit overflows here, in the
+            # densify or the loss; the finite check reports it. An overflow
+            # in the projection or the step leaves a non-finite block core,
+            # which tucker_retract refuses; the gradient norm may read inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                ambient = tucker_to_tensor(x)
+                residual = np.subtract(ambient, task.target, out=residuals[0])
+                loss = 0.5 * float(np.add.reduce(np.square(residual, out=residuals[1]), axis=None))
+            if not math.isfinite(loss):
+                trace.error = f"loss at k={k}: non-finite loss {loss}"
                 return good, trace
-            eps = adapt_epsilon(eps, achieved, task.tau)
+            good = x
+            stage = "mask"
+            h = hosvd(x.core, x.factors)
+            ranks, eps = compress_within_budget(h, eps, task.tau)
+            achieved = budget(ranks)
+            stage = "oracle"
+            r1, r2, r3 = ranks
+            query = encode(h.core[:r1, :r2, :r3], task.task_id, oracle_cfg.seed, eps)
+            response = ensemble_infer(oracle, query, m, draw_start=k * m)
+            eta = step_size(k, schedule)
+            stage = "project"
+            # The stochastic gradient of 0.5 * ||X - R||_F^2 at the oracle's
+            # answer R is X - R; its negative is the step direction.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(response.payload, ambient, out=residuals[1])
+                true_grad, step_dir = riemannian_grad_tucker(h, residuals)
+                grad_norm_sq = tangent_norm_sq(h, true_grad)
+            trace.rows.append(loss, grad_norm_sq, ranks, achieved, eta, eps)
+            if iterate_hook is not None:
+                iterate_hook(k, ambient)
+            stage = "retract"
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = tucker_retract(h, step_dir, eta)
+        except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            kind = {RankDeficiencyError: "rank_deficiency: ", np.linalg.LinAlgError: "linalg: "}
+            trace.error = f"{stage} at k={k}: {kind.get(type(exc), '')}{exc}"
+            return good, trace
+        eps = adapt_epsilon(eps, achieved, task.tau)
     return x, trace
 
 

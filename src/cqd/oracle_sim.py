@@ -86,9 +86,9 @@ class SimulatedOracle:
         is a fresh array of the target's shape; one that overflows float64
         raises FloatingPointError.
         """
-        if draw_index < 0:
+        if operator.index(draw_index) < 0:
             raise ValueError("draw_index must be nonnegative")
-        if m < 1:
+        if operator.index(m) < 1:
             raise ValueError("ensemble size m must be at least 1")
         last = self._last
         if last is not None and last[0] == query:

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -34,7 +32,7 @@ from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization
 from cqd.tensor_core import hosvd, truncated_reconstruct
 
 RM = StepSchedule("robbins_monro", 0.5, 100.0)
-# 500 KiB of target: run_cqd makes the oracle's draws on a worker thread.
+# 500 KiB of target, for which the oracle draws one payload per block.
 BIG = (40, 40, 40)
 
 
@@ -210,7 +208,7 @@ def oracle_overflow_problem(n=4):
 
 # Oracle configs, ensemble sizes and target sides n whose answer overflows
 # float64: at sigma = 1e308 one 4^3 draw does, at m = 4 the ensemble's sum
-# does, also at 40^3, where a worker thread makes the draws.
+# does, also at 40^3, where the oracle draws one payload per block.
 ORACLE_OVERFLOWS = [
     pytest.param(OracleConfig(1e308, 0), 1, 4, id="cfg0-1"),
     pytest.param(OracleConfig(1e308, 1), 1, 4, id="cfg1-1"),
@@ -419,22 +417,26 @@ def test_task_spec_task_id_must_fit_the_query_header():
 
 
 @pytest.mark.parametrize(
-    "change, match",
+    "change, exc, match",
     [
-        ({"iters": 0}, "iters"),
-        ({"m": 0}, "m must"),
-        ({"agg": "mode"}, "aggregator"),
-        ({"agg": "median"}, "aggregator"),
+        ({"iters": 0}, ValueError, "iters"),
+        ({"m": 0}, ValueError, "m must"),
+        ({"agg": "mode"}, ValueError, "aggregator"),
+        ({"agg": "median"}, ValueError, "aggregator"),
         # Used to escape the loop at k=0 as numpy's broadcast error.
-        ({"target_shape": (5, 6, 6)}, "x0 shape"),
+        ({"target_shape": (5, 6, 6)}, ValueError, "x0 shape"),
         # Used to escape the loop from the mask stage at k=0, with no trace.
-        ({"eps0": 0.0}, "eps0"),
-        ({"eps0": 1.0}, "eps0"),
-        ({"eps0": float("nan")}, "eps0"),
+        ({"eps0": 0.0}, ValueError, "eps0"),
+        ({"eps0": 1.0}, ValueError, "eps0"),
+        ({"eps0": float("nan")}, ValueError, "eps0"),
+        # Used to die in range(), and in the oracle's np.empty at k=0.
+        ({"iters": 3.0}, TypeError, "integer"),
+        ({"m": 2.0}, TypeError, "integer"),
     ],
-    ids=["iters", "m", "agg", "agg-median", "x0-shape", "eps0-0", "eps0-1", "eps0-nan"],
+    ids=["iters", "m", "agg", "agg-median", "x0-shape", "eps0-0", "eps0-1", "eps0-nan",
+         "iters-float", "m-float"],
 )
-def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, match):
+def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, exc, match):
     import cqd.optimizer as optimizer
 
     def no_oracle(*args, **kwargs):
@@ -446,7 +448,7 @@ def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, ma
     x0, _ = setup_problem(19)
     _, target = gen_synthetic(args["target_shape"], (2, 2, 2), 0.1, 19)
     task = TaskSpec(target=target, tau=27)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(exc, match=match):
         run_cqd(x0, task, OracleConfig(0.1, 19), RM, args["eps0"], args["iters"], args["m"], args["agg"])
 
 
@@ -474,13 +476,8 @@ def test_iterate_hook_runs_under_the_callers_floating_point_error_state(shape):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's worker thread
+# stage order and error precedence
 # ---------------------------------------------------------------------------
-
-
-def make_inline(monkeypatch):
-    """Make every later run call its oracle on the calling thread, whatever its size."""
-    monkeypatch.setattr(optimizer, "_WORKER_BYTES", math.inf)
 
 
 def from_call(n, fn, then):
@@ -500,28 +497,25 @@ def point_bytes(point):
     return [point.core.tobytes()] + [f.u.tobytes() for f in point.factors]
 
 
-def run_bytes(point, trace):
-    columns = ("loss", "grad_norm_sq", "ranks", "budget", "eta", "eps")
-    return [trace.column(name).tobytes() for name in columns], trace.error, point_bytes(point)
+@pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
+def test_a_run_makes_one_oracle_call_per_row(monkeypatch, shape):
+    # Also when the loss stops it: the stages after the loss make no draw.
+    x0, task = setup_problem(4, shape=shape)
+    calls = []
 
-
-@pytest.mark.parametrize("m", [1, 3], ids=["1-mean", "3-mean"])
-def test_the_worker_path_gives_the_bits_of_the_inline_path(monkeypatch, m):
-    x0, task = setup_problem(3, shape=BIG)
-    here, threads = threading.current_thread(), []
-
-    def recording(*args, **kwargs):
-        threads.append(threading.current_thread())
+    def counting(*args, **kwargs):
+        calls.append(1)
         return ensemble_infer(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "ensemble_infer", recording)
-    args = (x0, task, OracleConfig(0.1, 3), RM, 0.1, 8, m)
-    worker = run_bytes(*run_cqd(*args))
-    assert worker[1] is None and len(threads) == 8 and here not in threads
-    make_inline(monkeypatch)
-    threads.clear()
-    assert run_bytes(*run_cqd(*args)) == worker
-    assert threads == [here] * 8
+    monkeypatch.setattr(optimizer, "ensemble_infer", counting)
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 4), RM, 0.1, 4, m=2)
+    assert trace.error is None and len(calls) == len(trace) == 4
+    calls.clear()
+    inf = np.full(shape, np.inf)
+    monkeypatch.setattr(optimizer, "tucker_to_tensor", from_call(1, tucker_to_tensor, lambda p: inf))
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 4), RM, 0.1, 4, m=2)
+    assert trace.error == "loss at k=1: non-finite loss inf"
+    assert len(calls) == len(trace) == 1
 
 
 @pytest.mark.parametrize("shape", [(6, 6, 6), BIG])
@@ -578,8 +572,8 @@ def test_a_failing_oracle_stops_the_run_before_a_failing_projection(monkeypatch,
     assert len(trace) == 1 and point_bytes(final) == point_bytes(x1)
 
 
-def test_the_worker_path_names_the_true_residuals_projection_error(monkeypatch):
-    # It projects the true residual first, and stops there.
+def test_the_stacked_projection_names_its_own_error(monkeypatch):
+    # One pass projects both residuals; the run stops at its first error.
     x0, task = setup_problem(5, shape=BIG)
     args = (task, OracleConfig(0.1, 5), RM, 0.1)
     x1, _ = run_cqd(x0, *args, 1)
@@ -611,28 +605,21 @@ def test_a_run_leaves_no_thread_running(monkeypatch):
     with pytest.raises(KeyError, match="stop"):
         run_cqd(*args, iterate_hook=hook)
     assert threading.active_count() == before
-    # A non-finite loss stops the run while its first draw is still being made.
+    # A non-finite loss at k=0 stops the run before its first draw.
     drawn = []
-
-    def slow(*a, **kw):
-        time.sleep(0.2)
-        drawn.append(ensemble_infer(*a, **kw))
-
-    monkeypatch.setattr(optimizer, "ensemble_infer", slow)
+    monkeypatch.setattr(optimizer, "ensemble_infer", lambda *a, **kw: drawn.append(1))
     monkeypatch.setattr(optimizer, "tucker_to_tensor", lambda p: np.full(BIG, np.inf))
     final, trace = run_cqd(*args)
     assert trace.error == "loss at k=0: non-finite loss inf" and final is x0
-    assert len(drawn) == 1 and threading.active_count() == before
+    assert len(drawn) == 0 and threading.active_count() == before
 
 
-def test_the_draw_runs_under_the_callers_floating_point_error_state(monkeypatch):
+def test_the_draw_runs_under_the_callers_floating_point_error_state():
     # At sigma = 1e-302 some 40^3 draws scale below float64's normal range.
     x0, task = setup_problem(7, shape=BIG)
-    for _ in range(2):
-        with np.errstate(under="raise"):
-            final, trace = run_cqd(x0, task, OracleConfig(1e-302, 7), RM, 0.1, 3)
-        assert trace.error == "oracle at k=0: underflow encountered in multiply" and final is x0
-        make_inline(monkeypatch)
+    with np.errstate(under="raise"):
+        final, trace = run_cqd(x0, task, OracleConfig(1e-302, 7), RM, 0.1, 3)
+    assert trace.error == "oracle at k=0: underflow encountered in multiply" and final is x0
 
 
 # ---------------------------------------------------------------------------

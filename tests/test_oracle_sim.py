@@ -327,6 +327,18 @@ def test_ensemble_rejects_bad_m():
         ensemble_infer(oracle, query, 0)
 
 
+@pytest.mark.parametrize("draw_index, m", [(0.5, 1), (1.0, 1), (0, 2.0), (0, 1.5)])
+def test_infer_refuses_a_draw_index_or_m_that_is_no_integer(draw_index, m):
+    # draw_index 0.5 used to give draw 0's bits, and m = 2.0 numpy's TypeError from np.empty.
+    rng = np.random.default_rng(12)
+    query = make_query(rng, shape=(3, 3, 3))
+    oracle = SimulatedOracle(OracleConfig(0.1, 1), rng.standard_normal((3, 3, 3)))
+    with pytest.raises(TypeError, match="integer"):
+        oracle.infer(query, draw_index, m=m)
+    got = oracle.infer(query, np.int64(1), m=np.int64(2)).payload
+    assert got.tobytes() == oracle.infer(query, 1, m=2).payload.tobytes()
+
+
 def test_ensemble_decodes_each_query_once(monkeypatch):
     import cqd.oracle_sim as oracle_sim
 
