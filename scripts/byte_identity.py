@@ -9,7 +9,9 @@ listings:
 
 Each line is the first 16 hex digits of a sha256 and the output's name:
 - the trace rows, ``trace.error``, start and final point of ``run_cqd`` for the
-  four loopbench workload configurations, instance seeds 0-2;
+  four loopbench workload configurations, instance seeds 0-2, and (listed as
+  ``.../columns``) the dtype, shape and bytes of each run's seven
+  ``trace.column(name)`` arrays, which the certification reports read;
 - ``ensemble24-m3``: 24^3, ranks (2, 2, 2), m=3, seeds 0-1, 10 iterations, a
   shape whose draws the oracle makes one per block;
 - ``ensemble40-m3``: the same at 40^3, a 500 KiB target, near the dense
@@ -42,6 +44,7 @@ WORKLOADS = {
     "capped12": ((12, 12, 12), (4, 4, 4), 16, 1, 30),
 }
 EXPERIMENTS = ("projopt", "tailbound", "converge", "ratedist", "ensemble")
+COLUMNS = ("k", "loss", "grad_norm_sq", "ranks", "budget", "eta", "eps")  # TraceRow's fields
 
 
 def run_args(cqd, workload: tuple, seed: int) -> tuple:
@@ -97,6 +100,9 @@ def main() -> None:
             final, trace = cqd.run_cqd(x0, *rest)
             digest(f"{name}/mean/seed{seed}", trace.rows, trace.error,
                    *point_bytes(x0), *point_bytes(final))
+            columns = [trace.column(field) for field in COLUMNS]
+            digest(f"{name}/mean/seed{seed}/columns",
+                   *[part for c in columns for part in (c.dtype.str, c.shape, c.tobytes())])
 
     for n in (24, 40):
         ensemble = ((n, n, n), (2, 2, 2), 27, 3, 10)

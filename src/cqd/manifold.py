@@ -53,6 +53,8 @@ class TuckerPoint:
     factors: tuple[StiefelPoint, StiefelPoint, StiefelPoint]
 
     def __post_init__(self):
+        if len(self.factors) != 3 or not all(isinstance(f, StiefelPoint) for f in self.factors):
+            raise TypeError("TuckerPoint takes three StiefelPoint factors")
         core = as_tensor3(self.core)
         object.__setattr__(self, "core", core)
         for mode in MODES:

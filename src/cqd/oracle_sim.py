@@ -84,12 +84,16 @@ class SimulatedOracle:
         in order, as np.mean of their stack does along axis 0, holding at most
         max(one payload, 128 KiB) of them at once, whatever m is.  The payload
         is a fresh array of the target's shape; one that overflows float64
-        raises FloatingPointError.
+        raises FloatingPointError.  A draw index at or past 2**64, which the
+        Philox counter's word cannot hold, raises ValueError before any draw.
         """
-        if operator.index(draw_index) < 0:
+        draw_index, m = operator.index(draw_index), operator.index(m)
+        if draw_index < 0:
             raise ValueError("draw_index must be nonnegative")
-        if operator.index(m) < 1:
+        if m < 1:
             raise ValueError("ensemble size m must be at least 1")
+        if draw_index + m > 2**64:
+            raise ValueError(f"draws {draw_index}..{draw_index + m - 1} overflow the draw counter")
         last = self._last
         if last is not None and last[0] == query:
             dq = last[1]

@@ -80,17 +80,22 @@ def compress_within_budget(
 ) -> tuple[Ranks3, float]:
     """Raise eps until the rank product fits the budget cap tau.
 
-    Returns the masked ranks and the eps that produced them. For tau >= 1
-    and a nonzero tensor EPS_MAX keeps only the leading direction per mode
-    unless others lie within 0.1 % of it; the loop ends when the budget fits
-    or eps is clamped at EPS_MAX, at most 145 steps of EPS_INCREASE from
-    EPS_MIN.
+    Returns the masked ranks and the eps that produced them, after at most
+    145 steps of EPS_INCREASE from EPS_MIN.  EPS_MAX keeps the directions
+    within 0.1 % of each mode's leading one; should these still exceed tau,
+    the trailing direction of the mode with the most (the lowest such mode on
+    a tie) is dropped until the budget fits, which it does at ranks (1, 1, 1)
+    for tau >= 1.  Each direction so dropped lies within 0.1 % of its mode's
+    leading one.
     """
     ranks = mask_factorization(f, eps_rel)
     while (achieved := budget(ranks)) > tau:
         bumped = adapt_epsilon(eps_rel, achieved, tau)
-        if bumped == eps_rel:  # clamped at EPS_MAX, nothing left to cut
-            break
+        if bumped == eps_rel:  # clamped at EPS_MAX: cut within the ties
+            cut = list(ranks)
+            while budget(cut) > tau:
+                cut[cut.index(max(cut))] -= 1
+            return tuple(cut), eps_rel
         eps_rel = bumped
         ranks = mask_factorization(f, eps_rel)
     return ranks, eps_rel

@@ -138,6 +138,19 @@ def test_tucker_point_validates_factor_ranks():
         TuckerPoint(core=rng.standard_normal((2, 2, 3)), factors=factors)
 
 
+def test_tucker_point_takes_three_stiefel_points():
+    # Bare matrices used to construct, and run_cqd then died at k=0 with a raw
+    # AttributeError; two factors raised a raw IndexError.
+    rng = np.random.default_rng(11)
+    factors = tuple(random_stiefel(rng, 5, 2) for _ in range(3))
+    core = rng.standard_normal((2, 2, 2))
+    for bad in (tuple(f.u for f in factors), factors[:2], factors + factors[:1],
+                (factors[0], factors[1], factors[2].u)):
+        with pytest.raises(TypeError, match="three StiefelPoint"):
+            TuckerPoint(core=core, factors=bad)
+    assert TuckerPoint(core=core, factors=factors).shape == (5, 5, 5)
+
+
 def test_riemannian_grad_zero_input():
     rng = np.random.default_rng(12)
     p = random_tucker_point(rng)

@@ -28,8 +28,8 @@ from cqd.optimizer import (
     step_size,
 )
 from cqd.oracle_sim import ensemble_infer
-from cqd.spectral_masking import EPS_DECREASE, budget, mask_factorization
-from cqd.tensor_core import hosvd, truncated_reconstruct
+from cqd.spectral_masking import EPS_DECREASE, EPS_MAX, budget, mask_factorization
+from cqd.tensor_core import StiefelPoint, hosvd, truncated_reconstruct
 
 RM = StepSchedule("robbins_monro", 0.5, 100.0)
 # 500 KiB of target, for which the oracle draws one payload per block.
@@ -320,7 +320,7 @@ def test_rank_collapse_of_the_start_point_is_a_typed_trace_error():
     assert final is start
 
 
-def test_trace_rows_round_trip_through_the_compact_columns():
+def test_trace_rows_round_trip_through_the_record_array():
     x0, task = setup_problem(21)
     _, trace = run_cqd(x0, task, OracleConfig(0.1, 21), RM, 0.1, 30)
     rows = list(trace.rows)
@@ -348,6 +348,35 @@ def test_trace_rows_round_trip_through_the_compact_columns():
     assert trace.rows[4] == changed and trace.rows[3] == rows[3]
     with pytest.raises(ValueError, match="k=4"):
         trace.rows[4] = rows[5]
+
+
+def test_a_row_written_back_with_two_ranks_is_refused_and_changes_nothing():
+    # The rank column of three entries per row once took a 2-entry tuple and
+    # every later entry shifted: row 4 then read ranks (1, 2, 2), the last row (2, 2).
+    x0, task = setup_problem(21)
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 21), RM, 0.1, 10)
+    rows = list(trace.rows)
+    for ranks in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            trace.rows[4] = dataclasses.replace(rows[4], loss=1.5, ranks=ranks)
+    assert list(trace.rows) == rows
+    assert [r.tolist() for r in trace.column("ranks")] == [list(row.ranks) for row in rows]
+
+
+def test_a_tied_start_keeps_every_row_within_the_budget_cap():
+    # Core diag(1, 1): both singular values of every mode tie, so EPS_MAX keeps
+    # ranks (2, 2, 2), budget 8, where tau is 1.  Every row used to read budget 8.
+    u = StiefelPoint(np.eye(6)[:, :2])
+    core = np.zeros((2, 2, 2))
+    core[0, 0, 0] = core[1, 1, 1] = 1.0
+    _, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 24)
+    task = TaskSpec(target=target, tau=1)
+    _, trace = run_cqd(TuckerPoint(core=core, factors=(u, u, u)), task, OracleConfig(0.0, 24),
+                       RM, 0.1, 30)
+    assert trace.error is None and len(trace) == 30
+    assert trace.rows[0].eps == EPS_MAX and trace.rows[0].ranks == (1, 1, 1)
+    assert np.all(trace.column("budget") <= task.tau)
+    assert np.all(trace.column("budget") == np.prod(trace.column("ranks"), axis=1))
 
 
 @pytest.mark.parametrize("shape, iters", [((6, 6, 6), 40), ((24, 24, 24), 5)])
@@ -432,9 +461,11 @@ def test_task_spec_task_id_must_fit_the_query_header():
         # Used to die in range(), and in the oracle's np.empty at k=0.
         ({"iters": 3.0}, TypeError, "integer"),
         ({"m": 2.0}, TypeError, "integer"),
+        # Draw indices past 2**64 used to raise numpy's OverflowError at the oracle.
+        ({"iters": 2**32, "m": 2**32 + 1}, ValueError, "draw counter"),
     ],
     ids=["iters", "m", "agg", "agg-median", "x0-shape", "eps0-0", "eps0-1", "eps0-nan",
-         "iters-float", "m-float"],
+         "iters-float", "m-float", "draws-past-2**64"],
 )
 def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, exc, match):
     import cqd.optimizer as optimizer

@@ -339,6 +339,20 @@ def test_infer_refuses_a_draw_index_or_m_that_is_no_integer(draw_index, m):
     assert got.tobytes() == oracle.infer(query, 1, m=2).payload.tobytes()
 
 
+def test_infer_refuses_draws_past_the_64_bit_counter():
+    # Both used to raise numpy's OverflowError from the Philox state setter.
+    rng = np.random.default_rng(13)
+    query = make_query(rng, shape=(3, 3, 3))
+    oracle = SimulatedOracle(OracleConfig(0.1, 1), rng.standard_normal((3, 3, 3)))
+    for draw_index, m in ((2**64, 1), (2**64 - 1, 2), (2**63, 2**63 + 1)):
+        with pytest.raises(ValueError, match="draw counter"):
+            oracle.infer(query, draw_index, m=m)
+    # The last draw index, alone and as an ensemble's last draw.
+    last = oracle.infer(query, 2**64 - 1).payload
+    assert last.tobytes() == reference_payload(oracle, query, 2**64 - 1).tobytes()
+    assert oracle.infer(query, 2**64 - 2, m=2).draws_used == 2
+
+
 def test_ensemble_decodes_each_query_once(monkeypatch):
     import cqd.oracle_sim as oracle_sim
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cqd.manifold import (
     RankDeficiencyError,
+    TuckerPoint,
     gen_synthetic,
     qr_retraction,
     riemannian_grad_tucker,
@@ -149,6 +150,34 @@ def test_tucker_retraction_axioms(case):
 def test_a_noise_free_run_scales_bit_exactly_by_any_power_of_two(case, k):
     shape, ranks, seed = case
     assert_scale_covariant(shape, ranks, seed, k, 30)
+
+
+@st.composite
+def tied_starts(draw):
+    """(start, tau): a 6^3 Tucker point of ranks (r, r, r) with random factors
+    whose every mode has t >= 2 tied leading singular values, and a cap below
+    the t^3 that EPS_MAX keeps of them."""
+    r = draw(st.integers(2, 4))
+    t = draw(st.integers(2, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.floats(1e-3, 1e3))
+    svals = np.concatenate([np.full(t, lead), lead * np.sort(rng.uniform(0.1, 0.9, r - t))[::-1]])
+    factors = random_point(rng, (6, 6, 6), (r, r, r)).factors
+    start = TuckerPoint(core=superdiagonal(svals).core, factors=factors)
+    return start, draw(st.integers(1, t**3 - 1))
+
+
+@SETTINGS
+@given(tied=tied_starts(), sigma=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_every_row_keeps_the_budget_cap_from_a_tied_start(tied, sigma, seed):
+    # The first row masks the tied start; EPS_MAX alone used to keep all t^3.
+    start, tau = tied
+    _, target = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, seed % 1000)
+    _, trace = run_cqd(start, TaskSpec(target=target, tau=tau), OracleConfig(sigma, seed),
+                       StepSchedule("robbins_monro", 0.5, 100.0), 0.1, 4)
+    assert len(trace) >= 1
+    assert np.all(trace.column("budget") <= tau)
+    assert np.all(trace.column("budget") == np.prod(trace.column("ranks"), axis=1))
 
 
 @st.composite

@@ -258,10 +258,15 @@ def test_compress_within_budget_enforces_tau():
 
 def test_compress_within_budget_stops_at_eps_max_on_tied_spectrum():
     # The superdiagonal tensor: every unfolding has three equal singular
-    # values, so no eps keeps fewer than all of them and tau=1 is out of reach.
+    # values, so no eps keeps fewer than all of them.  Past EPS_MAX the mask
+    # drops tied trailing directions, from the mode with the most, until tau fits.
     x = np.zeros((3, 3, 3))
     x[np.arange(3), np.arange(3), np.arange(3)] = 1.0
     f = hosvd(x)
     ranks, eps = compress_within_budget(f, EPS_MIN, tau=1)
     assert eps == EPS_MAX
-    assert ranks == (3, 3, 3)
+    assert ranks == (1, 1, 1)
+    # The lowest mode of those with the most directions loses one first.
+    for tau, want in ((26, (2, 3, 3)), (18, (2, 3, 3)), (17, (2, 2, 3)), (8, (2, 2, 2)),
+                      (7, (1, 2, 2)), (2, (1, 1, 2))):
+        assert compress_within_budget(f, EPS_MIN, tau) == (want, EPS_MAX)
