@@ -15,7 +15,7 @@ import numpy as np
 from .manifold import _check_ranks, gen_synthetic, qr_retraction, tucker_from_tensor
 from .optimizer import StepSchedule, TaskSpec, run_cqd
 from .oracle_sim import OracleConfig, SimulatedOracle, ensemble_infer
-from .query_codec import _MAX_U32, _MAX_U64, encode
+from .query_codec import _MAX_U32, _MAX_U64, CRC_SIZE, HEADER_SIZE, encode
 from .spectral_masking import asm_compress, budget, mask_factorization
 from .tensor_core import hosvd, tail_energy, truncated_reconstruct
 
@@ -58,6 +58,9 @@ class _Config:
                 raise ValueError(f"a seed above {self._max_seed} does not fit the query header")
             if name == "m_values" and not (value and min(value) >= 1):
                 raise ValueError("m list must be non-empty and every m at least 1")
+            # The variance check compares neighbours in list order.
+            if name == "m_values" and not all(a < b for a, b in zip(value, value[1:])):
+                raise ValueError(f"m list must be strictly increasing, got {list(value)}")
             if name in _COUNTS and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
             if name == "eps0" and not 0 < value < 1:
@@ -308,8 +311,8 @@ def exp_rate_distortion(cfg: RateDistConfig) -> Report:
                     monotone = False
             prev_budget, prev_distortion = b, distortion
     report.passed["frontier_monotone"] = monotone
-    # Ranks (2, 2, 2) in a 20x20x20 ambient: 64 payload bytes vs 64,000.
-    ratio = (8 * 2 * 2 * 2) / (8 * 20 * 20 * 20)
+    # Ranks (2, 2, 2) in a 20x20x20 ambient: the encoded core's 64 payload bytes vs 64,000.
+    ratio = (len(encode(np.zeros((2, 2, 2)), 0, 0, 0.0)) - HEADER_SIZE - CRC_SIZE) / (8 * 20**3)
     report.summary["payload_ratio_2x2x2_in_20x20x20"] = ratio
     report.passed["compression_ratio_1e_3"] = ratio == 1e-3
     return _finish(report)

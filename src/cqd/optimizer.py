@@ -173,8 +173,9 @@ def run_cqd(
     stops early returns the point it entered its last iteration with (or
     the one before, if that iteration's loss was not finite) and sets
     `trace.error`. Arguments are checked here, before the oracle is built;
-    an iters or m that is no integer raises TypeError, and iters * m draws
-    past the oracle's 2**64 draw indices ValueError.
+    an iters or m that is no integer, or an iterate_hook that is not
+    callable, raises TypeError; iters * m draws past the oracle's 2**64 draw
+    indices, or a schedule whose step underflows to 0 within iters, ValueError.
 
     Each iteration takes one HOSVD of the iterate, from its core, and works
     at it: the mask reads its singular values, the query carries its core,
@@ -196,6 +197,11 @@ def run_cqd(
         raise ValueError(f"iters * m = {iters * m} draws overflow the oracle's draw counter")
     if not 0 < eps0 < 1:
         raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
+    # The step does not grow with k, so the last one is the smallest.
+    if not (eta_last := step_size(iters - 1, schedule)) > 0:
+        raise ValueError(f"the step at k={iters - 1} underflows to {eta_last}")
+    if iterate_hook is not None and not callable(iterate_hook):
+        raise TypeError(f"iterate_hook must be callable, got {type(iterate_hook).__name__}")
     if agg != "mean":
         raise ValueError(f"unknown aggregator {agg!r}, expected 'mean'")
     if x0.shape != task.target.shape:

@@ -80,12 +80,12 @@ class SimulatedOracle:
     def infer(self, query: bytes, draw_index: int, m: int = 1) -> OracleResponse:
         """The mean of draws draw_index, ..., draw_index + m - 1 of `query`.
 
-        Each draw has the bits of its own m = 1 call.  The mean sums the draws
-        in order, as np.mean of their stack does along axis 0, holding at most
-        max(one payload, 128 KiB) of them at once, whatever m is.  The payload
-        is a fresh array of the target's shape; one that overflows float64
-        raises FloatingPointError.  A draw index at or past 2**64, which the
-        Philox counter's word cannot hold, raises ValueError before any draw.
+        One draw path serves every m, so each draw has the bits of its own m = 1
+        call.  The mean sums the draws in order, as np.mean of their stack does
+        along axis 0, holding at most max(one payload, 128 KiB) of them at once.
+        The payload is a fresh array of the target's shape; one that overflows
+        float64 raises FloatingPointError.  A draw index past the Philox
+        counter's word, at or past 2**64, raises ValueError before any draw.
         """
         draw_index, m = operator.index(draw_index), operator.index(m)
         if draw_index < 0:
@@ -101,18 +101,10 @@ class SimulatedOracle:
             dq = decode(query)
             self._last = (bytes(query), dq)  # a copy, should the caller's buffer change
         self._key[1] = dq.checksum
+        n = min(m, self._per_block)  # draws per block
+        block = np.empty((n, *self.target.shape))
+        total = None
         with np.errstate(over="raise"):
-            if m == 1:
-                payload = np.empty(self.target.shape)
-                self._counter[1] = draw_index
-                self._bitgen.state = self._state
-                self._gen.standard_normal(out=payload)
-                payload *= self._scale
-                payload += self.target
-                return OracleResponse(payload=payload, draws_used=1)
-            n = min(m, self._per_block)  # draws per block
-            block = np.empty((n, *self.target.shape))
-            total = None
             for start in range(draw_index, draw_index + m, n):
                 rows = block[: min(n, draw_index + m - start)]
                 for i in range(len(rows)):
@@ -121,6 +113,8 @@ class SimulatedOracle:
                     self._gen.standard_normal(out=rows[i])
                 rows *= self._scale
                 rows += self.target
+                if m == 1:  # the mean of one draw is that draw, in a block of its size
+                    return OracleResponse(payload=rows[0], draws_used=1)
                 # Summed from -0.0, which adds exactly (numpy's reduce starts at +0.0);
                 # total + d is d + total, bit for bit, so the sum goes on in draw order.
                 if total is not None:

@@ -63,8 +63,6 @@ def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
     for i in MODES:
         if i != mode:
             cols *= x.shape[i]
-    if mode == 0:
-        return x.reshape(x.shape[0], cols)
     return x.transpose(_MODE_ORDER[mode]).reshape(x.shape[mode], cols)
 
 

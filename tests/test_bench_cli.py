@@ -121,6 +121,11 @@ def test_an_experiment_refuses_another_experiments_config():
     pytest.param(["converge", "--seed-list", "4294967296"], id="converge --seed-list 2**32"),
     pytest.param(["ensemble", "--seed-list", "18446744073709551616"],
                  id="ensemble --seed-list 2**64"),
+    # The variance check compares each m with the next: 16,1 used to fail a correct oracle.
+    pytest.param(["ensemble", "--m-list", "16,1", "--trials", "1", "--seed-list", "0"],
+                 id="ensemble --m-list 16,1"),
+    pytest.param(["ensemble", "--m-list", "4,4", "--trials", "1", "--seed-list", "0"],
+                 id="ensemble --m-list 4,4"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_turns_config_errors_into_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -463,9 +463,17 @@ def test_task_spec_task_id_must_fit_the_query_header():
         ({"m": 2.0}, TypeError, "integer"),
         # Draw indices past 2**64 used to raise numpy's OverflowError at the oracle.
         ({"iters": 2**32, "m": 2**32 + 1}, ValueError, "draw counter"),
+        # Steps that underflow to 0 used to stop the loop at the retraction,
+        # the first at k=1, after its draws, the second at k=100.
+        ({"schedule": StepSchedule("robbins_monro", 0.5, 1e-310)}, ValueError, "step at k=4"),
+        ({"schedule": StepSchedule("robbins_monro", 5e-324, 100.0), "iters": 101},
+         ValueError, "step at k=100"),
+        # Used to raise a raw TypeError at k=0, after the first draw.
+        ({"iterate_hook": 5}, TypeError, "iterate_hook"),
     ],
     ids=["iters", "m", "agg", "agg-median", "x0-shape", "eps0-0", "eps0-1", "eps0-nan",
-         "iters-float", "m-float", "draws-past-2**64"],
+         "iters-float", "m-float", "draws-past-2**64", "step-underflow-k0",
+         "step-underflow-eta0", "iterate-hook"],
 )
 def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, exc, match):
     import cqd.optimizer as optimizer
@@ -475,12 +483,14 @@ def test_run_cqd_checks_arguments_before_any_oracle_call(monkeypatch, change, ex
 
     monkeypatch.setattr(optimizer, "SimulatedOracle", no_oracle)
     monkeypatch.setattr(optimizer, "ensemble_infer", no_oracle)
-    args = {"iters": 5, "m": 1, "agg": "mean", "target_shape": (6, 6, 6), "eps0": 0.1, **change}
+    args = {"iters": 5, "m": 1, "agg": "mean", "target_shape": (6, 6, 6), "eps0": 0.1,
+            "schedule": RM, "iterate_hook": None, **change}
     x0, _ = setup_problem(19)
     _, target = gen_synthetic(args["target_shape"], (2, 2, 2), 0.1, 19)
     task = TaskSpec(target=target, tau=27)
     with pytest.raises(exc, match=match):
-        run_cqd(x0, task, OracleConfig(0.1, 19), RM, args["eps0"], args["iters"], args["m"], args["agg"])
+        run_cqd(x0, task, OracleConfig(0.1, 19), args["schedule"], args["eps0"], args["iters"],
+                args["m"], args["agg"], iterate_hook=args["iterate_hook"])
 
 
 def test_iterate_hook_sees_every_iterate():

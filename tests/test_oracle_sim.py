@@ -275,7 +275,8 @@ def test_streamed_ensemble_mean_matches_numpy_bitwise(shape, m):
     target = rng.standard_normal(shape)
     query = make_query(rng)
     oracle = SimulatedOracle(OracleConfig(0.7, 43), target)
-    stacked = np.stack([oracle.infer(query, 9 + i).payload for i in range(m)])
+    # Each draw from its own fresh Philox stream, apart from the oracle's draw path.
+    stacked = np.stack([reference_payload(oracle, query, 9 + i) for i in range(m)])
     expected = np.mean(stacked, axis=0)
     for _ in range(2):  # a second call gives the same bits
         resp = ensemble_infer(oracle, query, m, draw_start=9)

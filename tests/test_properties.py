@@ -11,6 +11,7 @@ import sys
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from cqd.manifold import (
     tucker_retract,
     tucker_to_tensor,
 )
-from cqd.optimizer import OracleConfig, StepSchedule, TaskSpec, run_cqd
+from cqd.optimizer import OracleConfig, StepSchedule, TaskSpec, run_cqd, step_size
 from cqd.query_codec import CodecError, decode, encode
 from cqd.spectral_masking import mask_factorization
 from tests.test_factored import SETTINGS, random_point, tucker_cases
@@ -197,23 +198,26 @@ DENSE_EDGE = sys.float_info.max * np.array([[[0, 0.9], [0, 0.5]], [[0.9, 0], [0,
 
 
 @settings(SETTINGS, max_examples=200)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=0, m=1, tau=27)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, seed=1, m=1, tau=27)
-@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1.0, eta0=0.1, seed=0, m=4, tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, k0=math.inf, seed=0, m=1, tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1e308, eta0=0.1, k0=math.inf, seed=1, m=1, tau=27)
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=1.0, eta0=0.1, k0=math.inf, seed=0, m=4, tau=27)
 @example(problem=(DENSE_EDGE, DENSE_EDGE, (2, 2, 1)),
-         sigma=0.1, eta0=0.1, seed=0, m=1, tau=27)
+         sigma=0.1, eta0=0.1, k0=math.inf, seed=0, m=1, tau=27)
 @example(problem=(np.full((2, 2, 2), 1e308), EDGE, (1, 1, 1)),
-         sigma=0.1, eta0=0.1, seed=0, m=1, tau=27)
+         sigma=0.1, eta0=0.1, k0=math.inf, seed=0, m=1, tau=27)
+# A step that underflows to 0 by k=4: refused by run_cqd.
+@example(problem=(EDGE, EDGE, (2, 2, 2)), sigma=0.1, eta0=1e-300, k0=1e-300, seed=0, m=1, tau=27)
 @given(
     problem=tiny_problems(),
     sigma=EXTREME,
     eta0=EXTREME,
+    k0=st.one_of(st.just(math.inf), EXTREME),  # inf: a constant step
     seed=st.integers(0, 2**64 - 1),
     m=st.sampled_from([1, 4]),
     tau=st.sampled_from([1, 8, math.inf]),
 )
 def test_every_input_is_refused_when_built_or_runs_to_a_trace(
-    problem, sigma, eta0, seed, m, tau
+    problem, sigma, eta0, k0, seed, m, tau
 ):
     # Under the suite's error::RuntimeWarning filter, so a numpy warning
     # inside the loop fails this test too.
@@ -222,8 +226,12 @@ def test_every_input_is_refused_when_built_or_runs_to_a_trace(
         x0 = tucker_from_tensor(instance, ranks)
         task = TaskSpec(target=target, tau=tau)
         cfg = OracleConfig(sigma, seed)
-        schedule = StepSchedule("constant", eta0)
+        schedule = StepSchedule("robbins_monro", eta0, k0)
     except (ValueError, TypeError, RankDeficiencyError):
+        return
+    if not step_size(4, schedule) > 0:  # refused when run_cqd is called, before any draw
+        with pytest.raises(ValueError, match="step at k=4"):
+            run_cqd(x0, task, cfg, schedule, 0.1, 5, m=m)
         return
     final, trace = run_cqd(x0, task, cfg, schedule, 0.1, 5, m=m)
     stages = "loss|densify|mask|oracle|project|retract"
