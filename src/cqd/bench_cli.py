@@ -149,22 +149,8 @@ class Report:
 
 
 def _finish(report: Report) -> Report:
-    """Take the columns from the first row's keys and summarize the numeric ones."""
+    """Take the columns from the first row's keys; `summary` keeps what the experiment wrote."""
     report.columns = tuple(report.rows[0])
-    for col in report.columns:
-        values = [
-            float(row[col])
-            for row in report.rows
-            if isinstance(row.get(col), (int, float)) and not isinstance(row.get(col), bool)
-        ]
-        if values:
-            arr = np.array(values)
-            report.summary[col] = {
-                "mean": float(np.mean(arr)),
-                "std": float(np.std(arr)),
-                "min": float(np.min(arr)),
-                "max": float(np.max(arr)),
-            }
     return report
 
 

@@ -1,6 +1,8 @@
 """Adaptive spectral masking: relative-threshold rank selection and budget control."""
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .tensor_core import HosvdFactorization, Ranks3, hosvd
@@ -57,7 +59,7 @@ def asm_compress(x, eps_rel: float) -> np.ndarray:
 
 def budget(ranks) -> int:
     """Query budget proxy: the retained core size r1 * r2 * r3."""
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = (operator.index(r) for r in ranks)
     if min(r1, r2, r3) < 0:
         raise ValueError("ranks must be nonnegative")
     return r1 * r2 * r3
@@ -66,8 +68,8 @@ def budget(ranks) -> int:
 def adapt_epsilon(eps_rel: float, achieved_budget: int, tau: int) -> float:
     """One controller step: raise eps over budget, lower it under, hold at par."""
     eps_rel = _check_eps(eps_rel)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not tau >= 1:  # written so that nan fails it
+        raise ValueError(f"tau must be at least 1, got {tau}")
     if achieved_budget > tau:
         eps_rel *= EPS_INCREASE
     elif achieved_budget < tau:
@@ -85,9 +87,11 @@ def compress_within_budget(
     within 0.1 % of each mode's leading one; should these still exceed tau,
     the trailing direction of the mode with the most (the lowest such mode on
     a tie) is dropped until the budget fits, which it does at ranks (1, 1, 1)
-    for tau >= 1.  Each direction so dropped lies within 0.1 % of its mode's
-    leading one.
+    for tau >= 1; a tau below 1, or nan, is refused.  Each direction so
+    dropped lies within 0.1 % of its mode's leading one.
     """
+    if not tau >= 1:  # written so that nan fails it
+        raise ValueError(f"tau must be at least 1, got {tau}")
     ranks = mask_factorization(f, eps_rel)
     while (achieved := budget(ranks)) > tau:
         bumped = adapt_epsilon(eps_rel, achieved, tau)

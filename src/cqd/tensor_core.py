@@ -19,20 +19,24 @@ _MODE_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def as_tensor3(data) -> np.ndarray:
-    """Coerce to a C-contiguous float64 third-order array; reject NaN/Inf."""
+    """Coerce to a C-contiguous float64 third-order array; reject an empty dimension or NaN/Inf."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ValueError(f"tensor dimensions must be at least 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     return arr
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a C-contiguous float64 matrix; reject NaN/Inf."""
+    """Coerce to a C-contiguous float64 matrix; reject an empty dimension or NaN/Inf."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ValueError(f"matrix dimensions must be at least 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
@@ -146,8 +150,6 @@ def _signs(u: np.ndarray) -> np.ndarray:
     # Reproducibility convention: largest-magnitude entry of each column >= 0.
     # u is a matrix or a stack of them; the signs are those of each matrix.
     n, p = u.shape[-2:]
-    if u.size == 0:
-        return np.ones(u.shape[:-2] + (p,))
     flat = u.reshape(-1, n, p)
     idx = np.abs(flat).argmax(axis=1)
     top = flat[np.arange(len(flat))[:, None], idx, np.arange(p)]

@@ -253,9 +253,9 @@ def test_emit_report_csv_and_json_round_trip(tmp_path):
     assert doc["experiment"] == "projopt"
     assert doc["passed"] == report.passed
     assert doc["rows"] == report.rows
-    # summary recomputation from the emitted rows matches the document
-    vals = [r["optimal_residual_sq"] for r in doc["rows"]]
-    assert doc["summary"]["optimal_residual_sq"]["mean"] == pytest.approx(np.mean(vals))
+    # Every number is in the rows; summary holds only what an experiment writes there.
+    assert set(doc) == {"experiment", "config", "columns", "rows", "summary", "passed"}
+    assert doc["summary"] == {}
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
@@ -437,3 +437,52 @@ def test_each_subcommand_flags_exactly_the_fields_its_experiment_reads():
     for name, (config_class, fn) in bench_cli.EXPERIMENTS.items():
         read = config_fields_read(fn.__name__, defs)
         assert read == {f.name for f in dataclasses.fields(config_class)}, name
+
+
+def _wrap(owner, name, how):
+    """A break that replaces owner.name with how(the original)."""
+    def patch(monkeypatch, cfg):
+        monkeypatch.setattr(owner, name, how(getattr(owner, name)))
+        return cfg
+    return patch
+
+
+_CONVERGE = ConvergeConfig(seeds=(0,), iters=600)
+_RATEDIST = RateDistConfig(seeds=(0,), grid_points=10)
+
+
+# Every certificate but budget_respected (see the k=0 test above), and a way to
+# break the property it certifies: the report must then FAIL that flag.
+@pytest.mark.parametrize("cfg, brk, flags", [
+    pytest.param(ProjOptConfig(seeds=(0, 1), n_projectors=100),
+                 _wrap(np.linalg, "svd", lambda svd: lambda *a, **k: 2 * svd(*a, **k)),
+                 ("zero_violations",), id="projopt-svals-doubled"),
+    pytest.param(TailBoundConfig(shape=(4, 4, 4), n_instances=3),
+                 _wrap(bench_cli, "tail_energy", lambda tail: lambda f, r: tail(f, r) / 2),
+                 ("zero_violations",), id="tailbound-bound-halved"),
+    pytest.param(_RATEDIST,
+                 _wrap(bench_cli, "mask_factorization", lambda mask: lambda f, e: mask(f, 1 - e)),
+                 ("frontier_monotone",), id="ratedist-eps-reversed"),
+    pytest.param(_RATEDIST,
+                 _wrap(bench_cli, "encode", lambda enc: lambda *a: enc(*a) + bytes(8)),
+                 ("compression_ratio_1e_3",), id="ratedist-payload-padded"),
+    pytest.param(EnsembleConfig(seeds=(0,), trials=100, m_values=(1, 4, 16)),
+                 _wrap(bench_cli, "ensemble_infer",
+                       lambda infer: lambda oracle, q, m, **kw: infer(oracle, q, 1, **kw)),
+                 ("ratio_in_band", "variance_strictly_decreasing"), id="ensemble-m-ignored"),
+    pytest.param(_CONVERGE, lambda monkeypatch, cfg: dataclasses.replace(cfg, iters=2),
+                 ("median_grad_crossing",), id="converge-two-iterations"),
+    pytest.param(_CONVERGE, _wrap(bench_cli, "DETERMINISTIC_MAX_ITERS", lambda _: 2),
+                 ("deterministic_contraction",), id="converge-deterministic-cut-short"),
+    pytest.param(_CONVERGE, _wrap(bench_cli, "NEGATIVE_CONTROL_ETA", lambda _: 0.01),
+                 ("divergence_detected",), id="converge-control-step-small"),
+])
+def test_every_certificate_fails_when_its_property_breaks(monkeypatch, cfg, brk, flags):
+    experiment = next(fn for cls, fn in bench_cli.EXPERIMENTS.values() if type(cfg) is cls)
+    intact = experiment(cfg).passed
+    assert all(intact[flag] for flag in flags)
+    broken = experiment(brk(monkeypatch, cfg)).passed
+    assert {flag: broken[flag] for flag in flags} == dict.fromkeys(flags, False)
+    # The break fails its own flags only.
+    assert {k: v for k, v in broken.items() if k not in flags} == {
+        k: v for k, v in intact.items() if k not in flags}

@@ -370,6 +370,14 @@ def test_tucker_retract_zero_direction():
     assert np.linalg.norm(tucker_to_tensor(moved) - tucker_to_tensor(p)) <= 1e-10
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5])
+def test_tucker_retract_refuses_a_step_that_is_not_positive(eta):
+    rng = np.random.default_rng(18)
+    h = point_hosvd(random_tucker_point(rng))
+    with pytest.raises(ValueError, match="eta must be positive"):
+        tucker_retract(h, random_tangent(rng, h), eta)
+
+
 def test_tucker_retract_first_order_slope():
     rng = np.random.default_rng(19)
     p = random_tucker_point(rng)

@@ -350,6 +350,15 @@ def test_trace_rows_round_trip_through_the_record_array():
         trace.rows[4] = rows[5]
 
 
+def test_trace_rows_compare_equal_only_to_another_store():
+    x0, task = setup_problem(21)
+    _, trace = run_cqd(x0, task, OracleConfig(0.1, 21), RM, 0.1, 5)
+    _, again = run_cqd(x0, task, OracleConfig(0.1, 21), RM, 0.1, 5)
+    assert trace.rows == again.rows
+    # A list of the same rows is no store: __eq__ defers, and Python falls back to identity.
+    assert not trace.rows == list(trace.rows) and trace.rows != list(trace.rows)
+
+
 def test_a_row_written_back_with_two_ranks_is_refused_and_changes_nothing():
     # The rank column of three entries per row once took a 2-entry tuple and
     # every later entry shifted: row 4 then read ranks (1, 2, 2), the last row (2, 2).

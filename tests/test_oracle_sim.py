@@ -340,6 +340,17 @@ def test_infer_refuses_a_draw_index_or_m_that_is_no_integer(draw_index, m):
     assert got.tobytes() == oracle.infer(query, 1, m=2).payload.tobytes()
 
 
+@pytest.mark.parametrize("draw_index, m, match", [
+    (-1, 1, "draw_index must be nonnegative"), (0, 0, "m must be at least 1"),
+])
+def test_infer_refuses_a_negative_draw_index_or_an_empty_ensemble(draw_index, m, match):
+    rng = np.random.default_rng(12)
+    query = make_query(rng, shape=(3, 3, 3))
+    oracle = SimulatedOracle(OracleConfig(0.1, 1), rng.standard_normal((3, 3, 3)))
+    with pytest.raises(ValueError, match=match):
+        oracle.infer(query, draw_index, m=m)
+
+
 def test_infer_refuses_draws_past_the_64_bit_counter():
     # Both used to raise numpy's OverflowError from the Philox state setter.
     rng = np.random.default_rng(13)

@@ -133,6 +133,12 @@ def test_encode_refuses_a_core_the_oracle_cannot_read(bad):
         encode(core, 0, 0, 0.5)
 
 
+@pytest.mark.parametrize("eps", [1.0, -0.1])
+def test_encode_refuses_an_eps_outside_zero_to_one(eps):
+    with pytest.raises(ValueError, match=r"eps_rel must lie in \[0, 1\)"):
+        encode(np.ones((1, 1, 1)), 0, 0, eps)
+
+
 def test_capacity_error_on_oversized_rank():
     with pytest.raises(CapacityError):
         encode(np.zeros((70000, 1, 1)), 0, 0, 0.5)

@@ -270,3 +270,22 @@ def test_compress_within_budget_stops_at_eps_max_on_tied_spectrum():
     for tau, want in ((26, (2, 3, 3)), (18, (2, 3, 3)), (17, (2, 2, 3)), (8, (2, 2, 2)),
                       (7, (1, 2, 2)), (2, (1, 1, 2))):
         assert compress_within_budget(f, EPS_MIN, tau) == (want, EPS_MAX)
+
+
+# The cap contract TaskSpec holds: tau at least 1, so nan is refused.  A nan cap
+# used to return the unmasked (3, 3, 3), tau 0 and 0.5 the lopsided (0, 1, 1),
+# and adapt_epsilon held eps under a nan cap.
+@pytest.mark.parametrize("tau", [float("nan"), 0, 0.5, -1])
+def test_the_budget_functions_refuse_a_cap_below_one(tau):
+    f = hosvd(np.random.default_rng(11).standard_normal((3, 3, 3)))
+    with pytest.raises(ValueError, match=f"tau must be at least 1, got {tau}"):
+        compress_within_budget(f, 0.1, tau)
+    with pytest.raises(ValueError, match=f"tau must be at least 1, got {tau}"):
+        adapt_epsilon(0.5, 3, tau)
+
+
+def test_budget_takes_integer_ranks_only():
+    # (1.7, 2, 2) used to give 4.
+    with pytest.raises(TypeError):
+        budget((1.7, 2, 2))
+    assert budget((np.int64(2), 3, 1)) == 6

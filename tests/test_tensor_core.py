@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from cqd.optimizer import TaskSpec
+from cqd.oracle_sim import OracleConfig, SimulatedOracle
 from cqd.tensor_core import (
     HosvdFactorization,
     StiefelPoint,
@@ -73,6 +77,33 @@ def test_constructors_reject_nonfinite():
         as_tensor3(bad)
     with pytest.raises(ValueError):
         as_matrix(bad[0])
+
+
+# A zero-length dimension used to pass the coercions and fail later inside numpy:
+# a reshape error, a ZeroDivisionError after a RuntimeWarning, an empty reduction,
+# or not at all (TaskSpec).
+@pytest.mark.parametrize("build, shape", [
+    pytest.param(lambda: hosvd(np.zeros((0, 3, 3))), (0, 3, 3), id="hosvd"),
+    pytest.param(lambda: SimulatedOracle(OracleConfig(0.1, 0), np.zeros((2, 0, 2))), (2, 0, 2),
+                 id="SimulatedOracle"),
+    pytest.param(lambda: StiefelPoint(np.zeros((3, 0))), (3, 0), id="StiefelPoint"),
+    pytest.param(lambda: TaskSpec(np.zeros((0, 2, 2)), tau=1), (0, 2, 2), id="TaskSpec"),
+])
+def test_a_degenerate_dimension_is_refused_when_a_value_is_built(build, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be at least 1, got shape {shape}")):
+        build()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: as_tensor3(np.zeros((2, 2))), "third-order tensor, got ndim=2",
+                 id="as_tensor3-ndim"),
+    pytest.param(lambda: as_matrix(np.zeros((2, 2, 2))), "matrix, got ndim=3", id="as_matrix-ndim"),
+    pytest.param(lambda: truncated_reconstruct(hosvd(np.ones((2, 2, 2))), (1, 1)),
+                 re.escape("three ranks, got (1, 1)"), id="truncated_reconstruct-two-ranks"),
+])
+def test_a_value_of_the_wrong_order_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_mode_product_identity_and_zero():
