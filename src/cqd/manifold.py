@@ -1,6 +1,8 @@
 """Stiefel and fixed multilinear-rank geometry: projections, retractions, synthetic targets."""
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +112,8 @@ def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
     r_n > r_m * r_k fit no tensor and are refused); the instance adds
     noise_floor times a unit-variance entrywise perturbation.
     """
-    shape = tuple(int(s) for s in shape)
-    true_ranks = tuple(int(r) for r in true_ranks)
+    shape = tuple(operator.index(s) for s in shape)
+    true_ranks = tuple(operator.index(r) for r in true_ranks)
     _check_ranks(shape, true_ranks)
     if not 0 <= noise_floor < np.inf:
         raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor}")
@@ -122,8 +124,10 @@ def gen_synthetic(shape, true_ranks, noise_floor: float, seed: int):
         for mode in range(3)
     )
     target = _multi_mult(core, mats)
-    if noise_floor > 0:
-        instance = target + noise_floor * rng.standard_normal(shape)
+    if noise_floor > 0:  # in place, with the bits of target + noise_floor * draw
+        instance = rng.standard_normal(shape)
+        instance *= noise_floor
+        instance += target
     else:
         instance = target.copy()
     return instance, target
@@ -146,7 +150,7 @@ def _check_collapse(svals, ranks, ref=None) -> None:
 def tucker_from_tensor(x, ranks) -> TuckerPoint:
     """Truncated-HOSVD projection of an ambient tensor onto the rank-`ranks` manifold."""
     x = as_tensor3(x)
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(operator.index(r) for r in ranks)
     _check_ranks(x.shape, ranks)
     # The factor signs, left as computed, cancel against the core's.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,8 +258,8 @@ def tucker_retract(h: HosvdFactorization, direction: TuckerTangent, eta: float) 
     h's largest in that mode, or 1e-150), and FloatingPointError when the step
     overflowed (a non-finite block core).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     g = h.core
     r1, r2, r3 = ranks = g.shape
     c = np.zeros((2 * r1, 2 * r2, 2 * r3))

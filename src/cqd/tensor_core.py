@@ -157,9 +157,19 @@ def _signs(u: np.ndarray) -> np.ndarray:
 
 
 def _hosvd_kernel(x: np.ndarray, ranks) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Truncated HOSVD of x with LAPACK's signs: (core, leading left singular vectors, svals)."""
+    """Truncated HOSVD of x with LAPACK's signs: (core, leading left singular vectors, svals).
+
+    An m x n unfolding with m < n and over 128 KiB (a dense set-up from 26^3 on,
+    never the loop's cores) goes through the R-SVD (Chan, 1982): A^T = QR gives
+    A = R^T Q^T, so the m x m R^T has A's U and s, with no Gram matrix to square
+    its condition number, and neither Q nor V' is formed.
+    An R that overflowed leaves A to the direct call, which scales a large A.
+    """
     def svd(t):  # t: x with a mode brought first, or a stack of such; unfolded (copied) here
         a = t.reshape(t.shape[:-2] + (-1,))
+        if a.shape[-2] < a.shape[-1] and a.nbytes > _STACK_BYTES:
+            r = np.linalg.qr(a.T, mode="r")
+            a = r.T if np.isfinite(r).all() else a
         # full_matrices only matters when rows exceed columns; avoid the big V'.
         u, s, _ = np.linalg.svd(a, full_matrices=a.shape[-2] > a.shape[-1])
         return u, s  # V' is freed here, not held for all three modes

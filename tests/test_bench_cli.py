@@ -51,6 +51,19 @@ def test_gen_synthetic_deterministic():
     assert a[1].tobytes() == b[1].tobytes()
 
 
+@pytest.mark.parametrize(
+    "shape, ranks",
+    [((4, 5, 6), (2, 2, 2)), ((6, 6, 6), (2, 3, 2)), ((12, 12, 12), (4, 4, 4)), ((48, 48, 48), (2, 2, 2))],
+)
+def test_gen_synthetic_instance_has_the_bits_of_target_plus_scaled_noise(shape, ranks):
+    instance, target = gen_synthetic(shape, ranks, 0.3, 11)
+    rng = np.random.default_rng(11)  # gen_synthetic's draws: core, three factors, noise
+    rng.standard_normal(ranks)
+    for n, r in zip(shape, ranks):
+        rng.standard_normal((n, r))
+    assert instance.tobytes() == (target + 0.3 * rng.standard_normal(shape)).tobytes()
+
+
 def test_gen_synthetic_validates_ranks():
     with pytest.raises(ValueError):
         gen_synthetic((3, 3, 3), (4, 2, 2), 0.0, 0)

@@ -370,11 +370,13 @@ def test_tucker_retract_zero_direction():
     assert np.linalg.norm(tucker_to_tensor(moved) - tucker_to_tensor(p)) <= 1e-10
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.5])
+@pytest.mark.parametrize("eta", [0.0, -0.5, float("nan"), float("inf")])
 def test_tucker_retract_refuses_a_step_that_is_not_positive(eta):
+    # A step must be positive and finite: nan used to build the block core and
+    # stop at "non-finite step", inf to raise a RuntimeWarning out of its products.
     rng = np.random.default_rng(18)
     h = point_hosvd(random_tucker_point(rng))
-    with pytest.raises(ValueError, match="eta must be positive"):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
         tucker_retract(h, random_tangent(rng, h), eta)
 
 
@@ -473,11 +475,52 @@ def test_tucker_from_tensor_collapse_names_mode_and_position():
         tucker_from_tensor(np.zeros((3, 3, 3)), (1, 1, 1))
 
 
+def test_tucker_from_tensor_names_a_collapse_alike_with_and_without_the_qr_step():
+    # A rank-1 mode asked for rank 2: at 40^3 the 40 x 1600 unfoldings (500 KiB)
+    # go through an R-only QR, at 6^3 straight to the SVD; both refuse alike.
+    rng = np.random.default_rng(34)
+    messages = []
+    for n in (6, 40):
+        x = tucker_to_tensor(random_tucker_point(rng, shape=(n, n, n), ranks=(1, 2, 2)))
+        with pytest.raises(RankDeficiencyError) as err:
+            tucker_from_tensor(x, (2, 2, 2))
+        messages.append(str(err.value))
+    assert messages == ["mode-0 singular value at position 2 is at or below 1e-12 times "
+                        "the mode's largest"] * 2
+
+
+def test_tucker_from_tensor_recovers_an_exact_rank_target_at_48_cubed():
+    instance, target = gen_synthetic((48, 48, 48), (2, 2, 2), 0.0, 35)
+    p = tucker_from_tensor(instance, (2, 2, 2))
+    assert np.linalg.norm(tucker_to_tensor(p) - target) <= 1e-12 * np.linalg.norm(target)
+
+
+def test_shapes_and_ranks_are_integers():
+    # A fraction used to be truncated: rank 2.7 ran at rank 2, and a
+    # (6.9, 6, 6) shape gave a 6^3 tensor.  numpy integers still pass.
+    x = np.random.default_rng(36).standard_normal((6, 6, 6))
+    with pytest.raises(TypeError):
+        tucker_from_tensor(x, (2.7, 2, 2))
+    with pytest.raises(TypeError):
+        gen_synthetic((6.9, 6, 6), (2, 2, 2), 0.1, 0)
+    with pytest.raises(TypeError):
+        gen_synthetic((6, 6, 6), (2, 2.0, 2), 0.1, 0)
+    p = tucker_from_tensor(x, np.array([2, 2, 2]))
+    assert p.core.tobytes() == tucker_from_tensor(x, (2, 2, 2)).core.tobytes()
+    a = gen_synthetic(np.array([6, 6, 6]), (np.int64(2),) * 3, 0.1, 0)
+    b = gen_synthetic((6, 6, 6), (2, 2, 2), 0.1, 0)
+    assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
+
+
 def test_tucker_from_tensor_refuses_a_core_that_overflows():
     # Finite entries whose rank-1 core, their sum over sqrt(8), passes float64's
     # limit: a RuntimeWarning out of the core's matmul, under this suite's filter.
     with pytest.raises(ValueError, match="the projected core overflows float64"):
         tucker_from_tensor(np.full((2, 2, 2), 1e308), (1, 1, 1))
+    # At 32^3 the R of the unfoldings' QR overflows first (an SVD of it would
+    # raise LinAlgError), so the direct SVD runs and the core's overflow is named.
+    with pytest.raises(ValueError, match="the projected core overflows float64"):
+        tucker_from_tensor(np.full((32, 32, 32), 1e307), (1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

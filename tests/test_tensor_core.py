@@ -10,6 +10,7 @@ from cqd.oracle_sim import OracleConfig, SimulatedOracle
 from cqd.tensor_core import (
     HosvdFactorization,
     StiefelPoint,
+    _hosvd_kernel,
     _mode_mult,
     _multi_mult,
     _unfold,
@@ -350,3 +351,54 @@ def test_hosvd_of_tucker_tensor_exact_with_rank_bound_by_columns():
     assert tail_energy(f, (2, 3, 2)) == 0.0
     with pytest.raises(ValueError):
         truncated_reconstruct(f, (3, 3, 2))  # more than the factor's columns
+
+
+def _recording(fn, shapes):
+    def wrapped(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return fn(a, *args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("shape", [(30, 30, 30), (48, 48, 48)])
+def test_a_wide_unfolding_over_the_stack_bound_goes_through_an_r_only_qr(monkeypatch, shape):
+    # 30 x 900 and 48 x 2304 unfoldings (211 and 864 KiB): the SVD runs on the
+    # m x m R^T of a QR of A^T, which has A's singular values and left
+    # singular subspaces, though not the direct call's bits.
+    x = np.random.default_rng(32).standard_normal(shape)
+    qrs, svds = [], []
+    monkeypatch.setattr(np.linalg, "qr", _recording(np.linalg.qr, qrs))
+    monkeypatch.setattr(np.linalg, "svd", _recording(np.linalg.svd, svds))
+    _, ws, svals = _hosvd_kernel(x, (3, 3, 3))
+    n = shape[0]
+    assert qrs == [(n * n, n)] * 3 and svds == [(n, n)] * 3
+    monkeypatch.undo()
+    for mode in range(3):
+        a = _unfold(x, mode)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(svals[mode] - s)) <= 1e-13 * s[0]
+        u, w = np.linalg.svd(a, full_matrices=False)[0][:, :3], ws[mode]
+        assert np.linalg.norm(w @ w.T - u @ u.T, 2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, svd_shapes",
+    [
+        ((8, 8, 8), [(3, 8, 64)]),  # capped12's block core: one stacked call
+        ((16, 32, 32), [(16, 1024), (32, 512), (32, 512)]),  # each exactly 128 KiB
+        ((24, 24, 24), [(24, 576)] * 3),  # 108 KiB each, too large to stack
+    ],
+)
+def test_an_unfolding_within_the_stack_bound_keeps_the_direct_svd_bits(monkeypatch, shape, svd_shapes):
+    x = np.random.default_rng(33).standard_normal(shape)
+    qrs, svds = [], []
+    monkeypatch.setattr(np.linalg, "qr", _recording(np.linalg.qr, qrs))
+    monkeypatch.setattr(np.linalg, "svd", _recording(np.linalg.svd, svds))
+    _, ws, svals = _hosvd_kernel(x, shape)
+    assert qrs == [] and svds == svd_shapes
+    monkeypatch.undo()
+    for mode in range(3):
+        u, s, _ = np.linalg.svd(_unfold(x, mode), full_matrices=False)
+        assert ws[mode].tobytes() == u.tobytes()
+        assert svals[mode].tobytes() == s.tobytes()
